@@ -479,51 +479,63 @@ let kernel_bench ~size () =
      milliseconds at this corpus size, so repeat it to get a clock
      reading that dwarfs timer resolution. *)
   let fast_reps = 50 in
-  let fast_t, fast_w =
-    free_pass ();
+  let measure_repeated pass =
+    pass ();
     Gc.full_major ();
     let w0 = Gc.minor_words () in
     let _, t =
       time_cpu (fun () ->
           for _ = 1 to fast_reps do
-            free_pass ()
+            pass ()
           done)
     in
     let w1 = Gc.minor_words () in
     let reps = float_of_int fast_reps in
     (t /. reps, (w1 -. w0) /. (fsize *. reps))
   in
+  let fast_t, fast_w = measure_repeated free_pass in
+  let fx_fast_t, fx_fast_w = measure_repeated fixed_pass in
   let scr_t, scr_w = without_fastpath (fun () -> measure free_pass) in
   let pure_t, pure_w = forced_pure (fun () -> measure free_pass) in
-  let fx_scr_t, fx_scr_w = measure fixed_pass in
+  let fx_scr_t, fx_scr_w = without_fastpath (fun () -> measure fixed_pass) in
   let fx_pure_t, fx_pure_w = forced_pure (fun () -> measure fixed_pass) in
   let sw_t, sw_w = measure sw_pass in
   (* Dispatch splits (counters record only while telemetry is on): the
-     fast path's hit/fallback division of one pass, then the word/scratch
-     division of the exact kernels with the fast path off. *)
+     fast path's hit/fallback division of one pass per format, then the
+     word/scratch division of the exact kernels with the fast path
+     off. *)
+  let with_telemetry f =
+    Telemetry.set_enabled true;
+    f ();
+    Telemetry.set_enabled false
+  in
   let h0, fb0 = Dragon.Printer.fastpath_stats () in
-  Telemetry.set_enabled true;
-  free_pass ();
-  Telemetry.set_enabled false;
+  with_telemetry free_pass;
   let h1, fb1 = Dragon.Printer.fastpath_stats () in
   let fp_hits = h1 - h0 and fp_fallbacks = fb1 - fb0 in
-  let fallback_rate =
-    float_of_int fp_fallbacks /. float_of_int (max 1 (fp_hits + fp_fallbacks))
+  let rate hits fallbacks =
+    float_of_int fallbacks /. float_of_int (max 1 (hits + fallbacks))
   in
+  let fallback_rate = rate fp_hits fp_fallbacks in
+  let xh0 = Fastpath.fixed_hit_count ()
+  and xfb0 = Fastpath.fixed_fallback_count () in
+  with_telemetry fixed_pass;
+  let fx_hits = Fastpath.fixed_hit_count () - xh0
+  and fx_fallbacks = Fastpath.fixed_fallback_count () - xfb0 in
+  let fx_fallback_rate = rate fx_hits fx_fallbacks in
   let f0 = Dragon.Generate.fastpath_count ()
   and s0 = Dragon.Generate.scratchpath_count () in
-  Telemetry.set_enabled true;
-  without_fastpath free_pass;
-  Telemetry.set_enabled false;
+  with_telemetry (fun () -> without_fastpath free_pass);
   let fast_hits = Dragon.Generate.fastpath_count () - f0
   and scratch_hits = Dragon.Generate.scratchpath_count () - s0 in
   let row name t w =
-    Printf.printf "  %-34s %10.3f s %12.0f conv/s %12.1f minor w/conv\n" name t
+    Printf.printf "  %-40s %10.3f s %12.0f conv/s %12.1f minor w/conv\n" name t
       (fsize /. t) w
   in
   row "free format, table fast path" fast_t fast_w;
   row "free format, kernel path" scr_t scr_w;
   row "free format, pure-Nat path" pure_t pure_w;
+  row "fixed format (17), table fast path" fx_fast_t fx_fast_w;
   row "fixed format (17), kernel path" fx_scr_t fx_scr_w;
   row "fixed format (17), pure-Nat path" fx_pure_t fx_pure_w;
   row "Steele & White baseline" sw_t sw_w;
@@ -532,11 +544,17 @@ let kernel_bench ~size () =
     \  paths on this corpus: %d word-sized fast, %d scratch\n"
     (pure_w /. scr_w)
     (pure_t /. scr_t) fast_hits scratch_hits;
+  let speedup = scr_t /. fast_t and fx_speedup = fx_scr_t /. fx_fast_t in
   Printf.printf
     "  table fast path: %.2fx over the exact kernels (%.2fx over pure), %d \
      hits / %d fallbacks (%.3f%% fallback)\n"
-    (scr_t /. fast_t) (pure_t /. fast_t) fp_hits fp_fallbacks
+    speedup (pure_t /. fast_t) fp_hits fp_fallbacks
     (100.0 *. fallback_rate);
+  Printf.printf
+    "  fixed (17) table fast path: %.2fx over the exact kernels (%.2fx over \
+     pure), %d hits / %d fallbacks (%.3f%% fallback)\n"
+    fx_speedup (fx_pure_t /. fx_fast_t) fx_hits fx_fallbacks
+    (100.0 *. fx_fallback_rate);
   let oc = open_out "BENCH_kernel.json" in
   Printf.fprintf oc
     "{\n\
@@ -554,6 +572,10 @@ let kernel_bench ~size () =
     \    \"speedup\": %.3f\n\
     \  },\n\
     \  \"fixed_format_17\": {\n\
+    \    \"fastpath\": { \"time_s\": %.6f, \"conversions_per_s\": %.0f, \
+     \"minor_words_per_conversion\": %.1f, \"hits\": %d, \"fallbacks\": %d, \
+     \"fallback_rate\": %.5f, \"speedup_vs_kernel\": %.3f, \
+     \"speedup_vs_pure\": %.3f },\n\
     \    \"kernel\": { \"time_s\": %.6f, \"conversions_per_s\": %.0f, \
      \"minor_words_per_conversion\": %.1f },\n\
     \    \"pure\": { \"time_s\": %.6f, \"conversions_per_s\": %.0f, \
@@ -566,22 +588,37 @@ let kernel_bench ~size () =
     \  \"digit_loop_paths\": { \"fastpath\": %d, \"scratchpath\": %d }\n\
      }\n"
     size fast_t (fsize /. fast_t) fast_w fp_hits fp_fallbacks fallback_rate
-    (scr_t /. fast_t) (pure_t /. fast_t) scr_t (fsize /. scr_t) scr_w pure_t
-    (fsize /. pure_t) pure_w (pure_w /. scr_w) (pure_t /. scr_t) fx_scr_t
-    (fsize /. fx_scr_t) fx_scr_w fx_pure_t (fsize /. fx_pure_t) fx_pure_w
-    (fx_pure_w /. fx_scr_w) (fx_pure_t /. fx_scr_t) sw_t (fsize /. sw_t) sw_w
-    fast_hits scratch_hits;
+    speedup (pure_t /. fast_t) scr_t (fsize /. scr_t) scr_w pure_t
+    (fsize /. pure_t) pure_w (pure_w /. scr_w) (pure_t /. scr_t) fx_fast_t
+    (fsize /. fx_fast_t) fx_fast_w fx_hits fx_fallbacks fx_fallback_rate
+    fx_speedup (fx_pure_t /. fx_fast_t) fx_scr_t (fsize /. fx_scr_t) fx_scr_w
+    fx_pure_t (fsize /. fx_pure_t) fx_pure_w (fx_pure_w /. fx_scr_w)
+    (fx_pure_t /. fx_scr_t) sw_t (fsize /. sw_t) sw_w fast_hits scratch_hits;
   close_out oc;
   Printf.printf "  wrote BENCH_kernel.json\n";
-  (* Acceptance floor: the table fast path must clear 3x the exact
-     kernels on this corpus, with margin to spare; regressing below
-     that fails the bench (and the CI bench step) loudly. *)
-  if scr_t /. fast_t < 3.0 then begin
-    Printf.eprintf
-      "FAIL: fast-path speedup %.2fx below the 3x acceptance floor\n"
-      (scr_t /. fast_t);
-    exit 1
-  end
+  (* Acceptance floors: each table fast path must clear 3x the exact
+     kernels on this corpus, and fixed format must answer at least 95%
+     of its requests itself; regressing below either fails the bench
+     (and the CI bench step) loudly. *)
+  let failed = ref false in
+  let floor ok fmt =
+    Printf.ksprintf
+      (fun msg ->
+        if not ok then begin
+          Printf.eprintf "FAIL: %s\n" msg;
+          failed := true
+        end)
+      fmt
+  in
+  floor (speedup >= 3.0) "fast-path speedup %.2fx below the 3x acceptance floor"
+    speedup;
+  floor (fx_speedup >= 3.0)
+    "fixed-format fast-path speedup %.2fx below the 3x acceptance floor"
+    fx_speedup;
+  floor (fx_fallback_rate <= 0.05)
+    "fixed-format fast-path fallback rate %.2f%% above the 5%% ceiling"
+    (100.0 *. fx_fallback_rate);
+  if !failed then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Service layer: sequential vs supervised parallel throughput (E10) *)

@@ -736,7 +736,7 @@ let cmd =
         \  bdprint --digits 10 --format binary32 0.333333333\n\
         \  bdprint --base 16 --notation scientific 255.9375\n\
         \  bdprint --places 20 100\n\
-        \  printf '0.1\\n1e23\\nbogus\\n' | bdprint --stdin --max-errors 5\n\
+        \  printf '0.1\\\\n1e23\\\\nbogus\\\\n' | bdprint --stdin --max-errors 5\n\
         \  bdprint --stdin --jobs 4 --stats < corpus.txt\n\
         \  bdprint --stdin --jobs 4 --metrics metrics.json < corpus.txt\n\
         \  bdprint --stdin --deadline-ms 50 < corpus.txt\n\

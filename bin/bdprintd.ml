@@ -297,7 +297,7 @@ let cmd =
         "  bdprintd --listen 127.0.0.1:7070 --jobs 4\n\
         \  bdprintd --listen unix:/tmp/bdprintd.sock --stats\n\
         \  bdprintd --listen :0 --metrics service-metrics.json\n\
-        \  printf 'CONV 0.1\\nQUIT\\n' | nc 127.0.0.1 7070";
+        \  printf 'CONV 0.1\\\\nQUIT\\\\n' | nc 127.0.0.1 7070";
     ]
   in
   Cmd.v

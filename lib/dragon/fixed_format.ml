@@ -122,6 +122,61 @@ let estimate_k ~base (fmt : Format_spec.t) (v : Value.finite) =
   int_of_float
     (Float.ceil ((log2_v /. (log (float_of_int base) /. log 2.)) -. 1e-10))
 
+(* Decimal digits as shared constants: a fast-path hit would otherwise
+   spend a third of its allocation boxing them. *)
+let decimal_digit = function
+  | 0 -> Digit 0
+  | 1 -> Digit 1
+  | 2 -> Digit 2
+  | 3 -> Digit 3
+  | 4 -> Digit 4
+  | 5 -> Digit 5
+  | 6 -> Digit 6
+  | 7 -> Digit 7
+  | 8 -> Digit 8
+  | 9 -> Digit 9
+  | d -> Digit d
+
+(* Table-driven fast path (see {!Fastpath.convert_fixed}): tried before
+   any Nat work under the shortest path's gate ({!Free_format}) for
+   [Relative 1..17], or an [Absolute] position whose span k - j is at
+   most 17 digits.  An uncertain verdict falls back to the exact path
+   below, so the output is byte-identical either way. *)
+let try_fastpath ~base ~mode fmt (v : Value.finite) request =
+  if Free_format.fastpath_gate ~base ~mode fmt then
+    match Nat.to_int_opt v.f with
+    | Some f when f > 0 && f < 1 lsl 53 ->
+      let bits = Nat.bit_length v.f in
+      let est = Scaling.fast_estimate_b10 ~bits ~e:v.e in
+      let relative, pos =
+        match request with Relative i -> (true, i) | Absolute j -> (false, j)
+      in
+      (* at most 17 positions: Relative 1..17, or an Absolute j at most
+         one place above the estimate with a span k - j <= est + 1 - j *)
+      let in_reach =
+        if relative then pos <= 17 else pos - est <= 1 && est + 1 - pos <= 17
+      in
+      if not in_reach then None
+      else begin
+        let t0 = Telemetry.Trace.start () in
+        let r =
+          Fastpath.convert_fixed ~f ~e:v.e ~mantissa_bits:bits
+            ~narrow:(Free_format.fastpath_narrow fmt v f)
+            ~high_ok:(Free_format.fastpath_high_ok ~mode f)
+            ~est ~relative ~pos
+        in
+        Telemetry.Trace.finish Telemetry.Trace.Fastpath t0;
+        match r with
+        | None -> None
+        | Some r ->
+          Generate.observe_finish r.loop_digits;
+          let digits = Array.make r.span Hash in
+          Array.iteri (fun i d -> digits.(i) <- decimal_digit d) r.digits;
+          Some { digits; k = r.k }
+      end
+    | _ -> None
+  else None
+
 let convert_exn ?(base = 10) ?(mode = Fp.Rounding.To_nearest_even)
     ?(tie = Generate.Closer_up) fmt (v : Value.finite) request =
   if base < 2 || base > 36 then
@@ -140,7 +195,9 @@ let convert_exn ?(base = 10) ?(mode = Fp.Rounding.To_nearest_even)
       (* [k - j] is within one of the digit span the conversion will
          materialize; vet it against the budget before the bignum work *)
       Robust.Budget.check_output_digits (k - j);
-      absolute ~base ~mode ~tie fmt v j
+      match try_fastpath ~base ~mode fmt v request with
+      | Some t -> t
+      | None -> absolute ~base ~mode ~tie fmt v j
     end
   | Relative i ->
     if i < 1 then
@@ -148,6 +205,9 @@ let convert_exn ?(base = 10) ?(mode = Fp.Rounding.To_nearest_even)
         (Robust.Error.range ~what:"relative digits"
            (Printf.sprintf "%d < 1" i));
     Robust.Budget.check_output_digits i;
+    match try_fastpath ~base ~mode fmt v request with
+    | Some t -> t
+    | None ->
     (* The position of the first digit can shift when the quantum expansion
        rounds the value up to the next power of the base (paper, end of
        Section 4), so estimate from the unexpanded range and refine. *)

@@ -41,7 +41,20 @@ val convert :
 
     Scaling always uses the estimator seeded on the range's upper bound
     ({!Scaling.scale_on_high}), which stays within one of the true scale
-    factor even when the quantum dwarfs the value. *)
+    factor even when the quantum dwarfs the value.
+
+    Before any bignum work the conversion tries the table-driven fast
+    path ({!Fastpath.convert_fixed}) when all of these hold: base 10; a
+    binary format whose mantissa fits 53 bits; a nearest rounding mode;
+    [Relative 1..17], or an [Absolute] position spanning at most 17
+    digits; no fault point armed; force-pure off; and the
+    {!Fastpath.enabled} gate on.  The fast path certifies every digit,
+    the widening, the [k] retry and the [0]/[#] tail against one-sided
+    error bounds and answers only when all of them are decided; any
+    uncertain step (exact ties included) falls back to the exact path,
+    so the result is byte-identical to it either way.  Hits and
+    fallbacks are counted by [bdprint_fastpath_fixed_hit_total] and
+    [bdprint_fastpath_fixed_fallback_total]. *)
 
 val convert_exn :
   ?base:int ->

@@ -17,51 +17,56 @@ let h_digits =
 
 (* Table-driven fast path (see {!Fastpath}): attempted before any Nat
    work when the conversion matches what the Q4.112 kernel certifies —
-   decimal output, the default Fast_estimate strategy, a binary format
-   with a mantissa in 53 bits, a to-nearest rounding mode, an exponent
-   inside the power-of-ten table.  The tie strategy does not gate
-   dispatch: exact ties are never certifiable, so every input whose
-   output could depend on [tie] falls back to the exact kernels.  The
-   fast path stands aside while faults are armed (it has no bignum trip
-   sites to mirror) and under force-pure (it is not the differential
-   anchor).  Bignum-bit budgets are deliberately not consulted on this
-   path — it allocates no bignum at all — while deadlines and the
-   output-digit budget keep the reference loop's per-digit cadence
-   inside the kernel. *)
+   decimal output, a binary format with a mantissa in 53 bits, a
+   to-nearest rounding mode, an exponent inside the power-of-ten table
+   (and, for shortest output, the default Fast_estimate strategy).  The
+   tie strategy does not gate dispatch: exact ties are never
+   certifiable, so every input whose output could depend on [tie] falls
+   back to the exact kernels.  The fast path stands aside while faults
+   are armed (it has no bignum trip sites to mirror) and under
+   force-pure (it is not the differential anchor).  Bignum-bit budgets
+   are deliberately not consulted on this path — it allocates no bignum
+   at all — while deadlines and the output-digit budget keep the
+   reference loop's per-digit cadence inside the kernel.  Fixed_format
+   dispatches through the same gate and inputs. *)
+let fastpath_gate ~base ~mode fmt =
+  base = 10
+  && fmt.Fp.Format_spec.b = 2
+  && Fastpath.enabled ()
+  && (not (Generate.force_pure ()))
+  && (not (Robust.Faults.any_armed ()))
+  && Fp.Rounding.is_nearest mode
+
+(* [Rounding.boundary_ok]'s high flag, without the tuple. *)
+let fastpath_high_ok ~mode f =
+  match mode with
+  | Fp.Rounding.To_nearest_even -> f land 1 = 0
+  | Fp.Rounding.To_nearest_away -> false
+  | _ -> true (* To_nearest_toward_zero; the gate admits nearest only *)
+
+(* [Gaps.gap_low_is_narrow] in machine integers: the low gap is halved
+   iff f sits on the normalization boundary b^(p-1), which for b = 2 and
+   f < 2^53 can only happen when p <= 54. *)
+let fastpath_narrow fmt (v : Fp.Value.finite) f =
+  v.e > fmt.Fp.Format_spec.emin
+  && fmt.Fp.Format_spec.p <= 54
+  && f = 1 lsl (fmt.Fp.Format_spec.p - 1)
+
 let try_fastpath ~base ~mode ~strategy fmt v =
   if
-    base = 10
-    && (match strategy with Scaling.Fast_estimate -> true | _ -> false)
-    && fmt.Fp.Format_spec.b = 2
-    && Fastpath.enabled ()
-    && (not (Generate.force_pure ()))
-    && (not (Robust.Faults.any_armed ()))
-    && Fp.Rounding.is_nearest mode
+    (match strategy with Scaling.Fast_estimate -> true | _ -> false)
+    && fastpath_gate ~base ~mode fmt
   then begin
     let f_nat = v.Fp.Value.f in
     match Nat.to_int_opt f_nat with
     | Some f when f > 0 && f < 1 lsl 53 ->
       let bits = Nat.bit_length f_nat in
       let est = Scaling.fast_estimate_b10 ~bits ~e:v.Fp.Value.e in
-      (* [Rounding.boundary_ok]'s high flag, without the tuple. *)
-      let high_ok =
-        match mode with
-        | Fp.Rounding.To_nearest_even -> f land 1 = 0
-        | Fp.Rounding.To_nearest_away -> false
-        | _ -> true (* To_nearest_toward_zero; is_nearest already held *)
-      in
-      (* [Gaps.gap_low_is_narrow] in machine integers: the low gap is
-         halved iff f sits on the normalization boundary b^(p-1), which
-         for b = 2 and f < 2^53 can only happen when p <= 54. *)
-      let narrow =
-        v.Fp.Value.e > fmt.Fp.Format_spec.emin
-        && fmt.Fp.Format_spec.p <= 54
-        && f = 1 lsl (fmt.Fp.Format_spec.p - 1)
-      in
       let t0 = Trace.start () in
       let r =
         Fastpath.convert_shortest ~f ~e:v.Fp.Value.e ~mantissa_bits:bits
-          ~narrow ~high_ok ~est
+          ~narrow:(fastpath_narrow fmt v f) ~high_ok:(fastpath_high_ok ~mode f)
+          ~est
       in
       Trace.finish Trace.Fastpath t0;
       r

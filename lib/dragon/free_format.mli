@@ -30,6 +30,25 @@ val digit_count :
 (** Length of the shortest output — the statistic behind the paper's
     "average of 15.2 digits" remark. *)
 
+(** {2 Fast-path dispatch}
+
+    The conditions under which shortest ({!convert}) and fixed-format
+    ([Fixed_format.convert]) conversions try {!Fastpath} before the
+    exact kernels. *)
+
+val fastpath_gate : base:int -> mode:Fp.Rounding.mode -> Fp.Format_spec.t -> bool
+(** Decimal output, a binary input format, a nearest rounding mode, the
+    {!Fastpath.enabled} gate on, force-pure off and no fault point
+    armed.  The caller still checks that the mantissa fits 53 bits. *)
+
+val fastpath_high_ok : mode:Fp.Rounding.mode -> int -> bool
+(** Upper-boundary inclusivity for mantissa [f] under a nearest [mode]
+    ([Rounding.boundary_ok]'s high flag). *)
+
+val fastpath_narrow : Fp.Format_spec.t -> Fp.Value.finite -> int -> bool
+(** Whether the low gap below [v] (mantissa [f] as an int) is narrow
+    ([Gaps.gap_low_is_narrow] in machine integers). *)
+
 val to_ratio : base:int -> t -> Bignum.Ratio.t
 (** Exact value denoted by a conversion result, for tests. *)
 

@@ -1,4 +1,5 @@
-(* Table-driven fixed-precision shortest-digit fast path.
+(* Table-driven fixed-precision digit fast path, for shortest and
+   fixed-format output alike.
 
    The Burger-Dybvig loop proves each digit and the stopping decision
    with exact rational comparisons; this module runs the same loop on a
@@ -30,6 +31,20 @@
    only when it holds for {e every} pair of true values inside the two
    intervals; exact equality is never certifiable, which is precisely
    the correctly-rounded boundary case the exact fallback exists for.
+
+   Fixed format (paper, Section 4) runs the same loop on the same frame.
+   It adds the half quantum H = 10^(j-est)/2·2^112, windowed out of the
+   table entry c(j-est) with the same one-sided error of 2, and widens
+   each boundary to H where H certainly dominates it (the widened high
+   side becomes inclusive); a boundary within the error of H is
+   uncertain.  The k fixup then runs on the widened range, as
+   [Scaling.scale_on_high] does; a [Relative] request first guesses k
+   from the unwidened range and retries when rounding carries into the
+   next power of ten, exactly like [Fixed_format.relative].  Positions
+   after the loop's last digit are classified as 0 or # by the
+   reference's test inc·s·10^t + s <= (rest + m⁺)·10^t, which in frame
+   units reads W·10^t >= 1 for W = fraction + m⁺ - inc, certified
+   against W's one-sided error.
 
    Faults and budgets.  The fast path stands aside entirely while any
    fault point is armed ({!Robust.Faults.any_armed} is checked by the
@@ -85,18 +100,38 @@ let m_fallback =
            back to the exact kernels."
     "bdprint_fastpath_fallback_total"
 
+let m_fixed_hit =
+  Metrics.counter
+    ~help:"Fixed-format conversions answered by the table-driven fast path."
+    "bdprint_fastpath_fixed_hit_total"
+
+let m_fixed_fallback =
+  Metrics.counter
+    ~help:"Fixed-format fast-path attempts that returned an uncertain \
+           verdict and fell back to the exact kernels."
+    "bdprint_fastpath_fixed_fallback_total"
+
 let hit_count () = Metrics.value m_hit
 let fallback_count () = Metrics.value m_fallback
+let fixed_hit_count () = Metrics.value m_fixed_hit
+let fixed_fallback_count () = Metrics.value m_fixed_fallback
 
-(* Per-domain scratch: two 8-limb windows (table entry and product) and
-   the digit buffer, reused across conversions so a hit allocates
-   nothing.  [busy] guards against re-entrant use from the same domain
-   (metrics callbacks, nested printing): the inner attempt just reports
-   uncertain and takes the exact path. *)
+
+(* Per-domain scratch: three 8-limb windows (table entry, product, and
+   the fixed format's half-quantum entry) and the digit buffer, reused
+   across conversions so an attempt allocates nothing until it builds
+   its result.  [stop] carries the digit loop's stop state (W's hi and
+   lo parts and its error, see the header) out to the fixed-format
+   tail.  [busy]
+   guards against re-entrant use from the same domain (metrics
+   callbacks, nested printing): the inner attempt just reports uncertain
+   and takes the exact path. *)
 type pool = {
   winc : int array;  (* 5 table limbs + zero padding *)
   winp : int array;  (* 7 product limbs + zero padding *)
+  winh : int array;  (* 5 half-quantum table limbs + zero padding *)
   digits : int array;
+  stop : int array;
   mutable busy : bool;
 }
 [@@lint.domain_safe
@@ -108,7 +143,9 @@ let pool_key =
       {
         winc = Array.make 8 0;
         winp = Array.make 8 0;
+        winh = Array.make 8 0;
         digits = Array.make (max_digits + 2) 0;
+        stop = Array.make 3 0;
         busy = false;
       })
 
@@ -133,6 +170,18 @@ let[@lint.no_alloc] window60 (win [@lint.width 28]) (pos [@lint.width 8]) =
   lor (Array.unsafe_get win (w + 2) lsl (56 - b))
   lor (if b >= 25 then Array.unsafe_get win (w + 3) lsl (84 - b) else 0)
   land mask60
+[@@lint.certified_width 62]
+
+(* win <- the five limbs of c(q); callers have checked q against the
+   table bounds. *)
+let[@lint.no_alloc] load_entry (win [@lint.width 28])
+    (q [@lint.width_signed 10]) =
+  let base = T.limbs_per_entry * (q - T.q_min) in
+  Array.unsafe_set win 0 (Array.unsafe_get T.limbs base);
+  Array.unsafe_set win 1 (Array.unsafe_get T.limbs (base + 1));
+  Array.unsafe_set win 2 (Array.unsafe_get T.limbs (base + 2));
+  Array.unsafe_set win 3 (Array.unsafe_get T.limbs (base + 3));
+  Array.unsafe_set win 4 (Array.unsafe_get T.limbs (base + 4))
 [@@lint.certified_width 62]
 
 (* winp <- f · c, exactly, in 28-bit limbs: f = f1·2^28 + f0 against the
@@ -171,18 +220,54 @@ let[@lint.no_alloc] fill_product (winp [@lint.width 28]) (winc [@lint.width 28])
   Array.unsafe_set winp 6 s6
 [@@lint.certified_width 62]
 
-(* The certified digit loop.  Returns (n lsl 12) lor (k + 1024) with
-   the n digits in [p.digits], or [-1] for an uncertain verdict.  All
-   comparisons are between one-sided intervals [a, a+err): "a_true op
-   b_true certainly" demands the op hold across both intervals. *)
-let[@lint.no_alloc] run p ~f:(f [@lint.width 53]) ~lf:(lf [@lint.width 6])
-    ~e:(e [@lint.width_signed 12]) ~narrow ~high_ok
-    ~est:(est [@lint.width_signed 11]) =
+(* Interval comparisons on (hi, lo) frames.  All approximations are
+   underestimates, so "a_true op b_true certainly" demands the op hold
+   across both one-sided intervals [a, a+err).  They run several times
+   per digit, hence [@inline]. *)
+
+(* a + err ≤ b, with a scalar error on the left. *)
+let[@inline][@lint.no_alloc] le2p (ah [@lint.width 61]) (al [@lint.width 56])
+    (err [@lint.width 60]) (bh [@lint.width 61]) (bl [@lint.width 56]) =
+  let l = al + err in
+  let h = ah + (l lsr 56) in
+  let l = l land mask56 in
+  h < bh || (h = bh && l <= bl)
+[@@lint.certified_width 62]
+
+let[@inline][@lint.no_alloc] gt2 (ah [@lint.width 61]) (al [@lint.width 56])
+    (bh [@lint.width 61]) (bl [@lint.width 56]) =
+  ah > bh || (ah = bh && al > bl)
+[@@lint.certified_width 62]
+
+let[@inline][@lint.no_alloc] ge2 (ah [@lint.width 61]) (al [@lint.width 56])
+    (bh [@lint.width 61]) (bl [@lint.width 56]) =
+  ah > bh || (ah = bh && al >= bl)
+[@@lint.certified_width 62]
+
+(* a ≥ 1 frame unit with an inclusive high endpoint, a > 1 without;
+   certain for the true value, which is at least a. *)
+let[@inline][@lint.no_alloc] reaches_one ~high_ok (ah [@lint.width 61])
+    (al [@lint.width 56]) =
+  if high_ok then ge2 ah al one_hi 0 else gt2 ah al one_hi 0
+[@@lint.certified_width 62]
+
+(* Initial one-sided error of every frame quantity: one unit of window
+   truncation plus less than one unit of table truncation (the shift
+   bounds below keep f·θ·2^-t, and θ·2^-s for the half quantum, below
+   a unit). *)
+let err0 = 2
+
+(* Load the frame for v = f·2^e against c(-est): the table entry into
+   [winc] and the exact product into [winp].  Returns the window shift
+   t (X = floor(P / 2^t) in frame units, P·2^(-t) = f·c·2^(e+gamma+112)),
+   or -1 when the estimate is outside the table or t outside the
+   certified band. *)
+let[@lint.no_alloc] load_frame p ~f:(f [@lint.width 53]) ~lf:(lf [@lint.width 6])
+    ~e:(e [@lint.width_signed 12]) ~est:(est [@lint.width_signed 11]) =
   let q = -est in
   if q < T.q_min || q > T.q_max then -1
   else begin
     let gamma = Array.unsafe_get T.exps (q - T.q_min) in
-    (* X = floor(P / 2^t) in frame units: P·2^(-t) = f·c·2^(e+gamma+112). *)
     let t = -(e + gamma + 112) in
     (* t ≥ lf+12 bounds the table error below one frame unit AND proves
        P < 2^(t+116), so the 60-bit hi window captures every product
@@ -192,146 +277,314 @@ let[@lint.no_alloc] run p ~f:(f [@lint.width 53]) ~lf:(lf [@lint.width 6])
     if t < lf + 12 || t > 81 then -1
     else begin
       let (winc [@lint.width 28]) = p.winc
-      and (winp [@lint.width 28]) = p.winp
-      and (digits [@lint.width 4]) = p.digits in
-      let base = T.limbs_per_entry * (q - T.q_min) in
-      Array.unsafe_set winc 0 (Array.unsafe_get T.limbs base);
-      Array.unsafe_set winc 1 (Array.unsafe_get T.limbs (base + 1));
-      Array.unsafe_set winc 2 (Array.unsafe_get T.limbs (base + 2));
-      Array.unsafe_set winc 3 (Array.unsafe_get T.limbs (base + 3));
-      Array.unsafe_set winc 4 (Array.unsafe_get T.limbs (base + 4));
+      and (winp [@lint.width 28]) = p.winp in
+      load_entry winc q;
       fill_product winp winc f;
-      let xh = window60 winp (t + 56) and xl = window56 winp t in
-      (* m⁺ = 2^(e-1)·10^q = c·2^(-(t+1)); m⁻ shifts once more when the
-         mantissa sits on a power-of-two boundary (narrow low gap). *)
-      let mph = window60 winc (t + 57) and mpl = window56 winc (t + 1) in
-      let mmh = if narrow then window60 winc (t + 58) else mph
-      and mml = if narrow then window56 winc (t + 2) else mpl in
-      (* a + err ≤ b on (hi, lo) frames with a scalar error on the left. *)
-      let le2p (ah [@lint.width 61]) (al [@lint.width 56])
-          (err [@lint.width 60]) (bh [@lint.width 61]) (bl [@lint.width 56]) =
-        let l = al + err in
-        let h = ah + (l lsr 56) in
-        let l = l land mask56 in
-        h < bh || (h = bh && l <= bl)
-      in
-      let gt2 (ah [@lint.width 61]) (al [@lint.width 56])
-          (bh [@lint.width 61]) (bl [@lint.width 56]) =
-        ah > bh || (ah = bh && al > bl)
-      in
-      let ge2 (ah [@lint.width 61]) (al [@lint.width 56])
-          (bh [@lint.width 61]) (bl [@lint.width 56]) =
-        ah > bh || (ah = bh && al >= bl)
-      in
-      (* Initial one-sided errors: one unit of window truncation plus
-         less than one unit of table truncation (t ≥ lf keeps f·θ·2^-t
-         below a unit). *)
-      let err0 = 2 in
-      (* Estimate fixup, certified: too_low ⟺ X + m⁺ ≥ 1 (or > without
-         high_ok), mirroring Scaling.scale_estimated. *)
-      let sl0 = xl + mpl in
-      let sh0 = xh + mph + (sl0 lsr 56) in
-      let sl0 = sl0 land mask56 in
-      let too_low_true =
-        if high_ok then ge2 sh0 sl0 one_hi 0 else gt2 sh0 sl0 one_hi 0
-      and too_low_false = le2p sh0 sl0 (2 * err0) one_hi 0 in
-      if not (too_low_true || too_low_false) then -1
-      else begin
-        let k = if too_low_true then est + 1 else est in
-        let rec loop (n [@lint.width 5]) (yh [@lint.width 61])
-            (yl [@lint.width 56]) (mph [@lint.width 61]) (mpl [@lint.width 56])
-            (mmh [@lint.width 61]) (mml [@lint.width 56])
-            (errv [@lint.width 58]) (errm [@lint.width 58]) =
-          Robust.Budget.check_output_digits n;
-          let d = yh lsr 56 in
-          if d > 9 then -1
-          else begin
-            let fh = yh land mask56 and fl = yl in
-            (* The emitted digit is certain only if the true fraction
-               cannot reach the next integer. *)
-            if not (le2p fh fl errv one_hi 0) then -1
-            else begin
-              let tc1_true = le2p fh fl errv mmh mml
-              and tc1_false = le2p mmh mml errm fh fl in
-              let sl = fl + mpl in
-              (* fraction + m⁺ < 2 frame units ≪ 2^61: mask61 is identity *)
-              let sh = (fh + mph + (sl lsr 56)) land mask61 in
-              let sl = sl land mask56 in
-              let tc2_true =
-                if high_ok then ge2 sh sl one_hi 0 else gt2 sh sl one_hi 0
-              and tc2_false = le2p sh sl (errv + errm) one_hi 0 in
-              if not ((tc1_true || tc1_false) && (tc2_true || tc2_false))
-              then -1
-              else if tc1_false && tc2_false then begin
-                if n >= max_digits then -1
-                else begin
-                  Array.unsafe_set digits (n - 1) d;
-                  (* On the continue branch tc2 is certainly false:
-                     fraction + m⁺ < 1 frame unit, so each scaled hi part
-                     is below 2^57 (mask57 identities) and the errors stay
-                     below 2·10^17 < 2^58 (mask58 identities, see the
-                     header's error discipline). *)
-                  let l10 = fl * 10 in
-                  let yh = (fh * 10) + (l10 lsr 56) and yl = l10 land mask56 in
-                  let p10 = mpl * 10 in
-                  let mph = ((mph land mask57) * 10) + (p10 lsr 56)
-                  and mpl = p10 land mask56 in
-                  let m10 = mml * 10 in
-                  let mmh = ((mmh land mask57) * 10) + (m10 lsr 56)
-                  and mml = m10 land mask56 in
-                  loop (n + 1) yh yl mph mpl mmh mml
-                    ((10 * errv) land mask58)
-                    ((10 * errm) land mask58)
-                end
-              end
-              else begin
-                let last =
-                  if tc1_true && not tc2_true then d
-                  else if tc2_true && not tc1_true then d + 1
-                  else begin
-                    (* Both endpoints in range: the reference breaks the
-                       tie by comparing 2·frac with one; equality (an
-                       exact tie) is never certifiable and falls back,
-                       so the caller's tie strategy is moot on hits. *)
-                    let t2l = (fl lsl 1) land mask56 in
-                    let t2h = (fh lsl 1) + (fl lsr 55) in
-                    if le2p t2h t2l (2 * errv) one_hi 0 then d
-                    else if gt2 t2h t2l one_hi 0 then d + 1
-                    else -2
-                  end
-                in
-                if last < 0 || last > 9 then -1
-                else begin
-                  Array.unsafe_set digits (n - 1) last;
-                  (n lsl 12) lor (k + 1024)
-                end
-              end
-            end
-          end
-        in
-        (* Premultiplied convention: the loop state starts at
-           Y = v·10^(1-k)·2^112 so the first digit is floor(Y).  The two
-           branches call [loop] directly instead of binding a start-state
-           tuple — the kernel is [@lint.no_alloc] and means it. *)
-        if too_low_true then loop 1 xh xl mph mpl mmh mml err0 err0
+      t
+    end
+  end
+[@@lint.certified_width 62]
+
+(* The estimate fixup, certified (Scaling.scale_estimated's too_low):
+   1 when X + m⁺ certainly reaches one frame unit (≥ with an inclusive
+   high endpoint, > without), 0 when it certainly stays below, -1 when
+   the intervals cannot tell. *)
+let[@lint.no_alloc] too_low ~high_ok (xh [@lint.width 60]) (xl [@lint.width 56])
+    (mph [@lint.width 60]) (mpl [@lint.width 56]) =
+  let sl = xl + mpl in
+  let sh = xh + mph + (sl lsr 56) in
+  let sl = sl land mask56 in
+  if reaches_one ~high_ok sh sl then 1
+  else if le2p sh sl (2 * err0) one_hi 0 then 0
+  else -1
+[@@lint.certified_width 62]
+
+(* The certified digit loop, shared by both output formats.  State at
+   digit n: Y (the scaled remainder, premultiplied so the digit is
+   floor(Y)) and the boundaries M± in frame units, each an
+   underestimate with the one-sided error [err].  Returns the digit
+   count with the digits in [p.digits], or -1 for an uncertain verdict;
+   on a hit it leaves W = fraction + M⁺ - inc and W's error in
+   [p.stop]. *)
+let[@lint.no_alloc] rec digit_loop p ~high_ok (n [@lint.width 5])
+    (yh [@lint.width 61]) (yl [@lint.width 56]) (mph [@lint.width 61])
+    (mpl [@lint.width 56]) (mmh [@lint.width 61]) (mml [@lint.width 56])
+    (err [@lint.width 58]) =
+  Robust.Budget.check_output_digits n;
+  let d = yh lsr 56 in
+  if d > 9 then -1
+  else begin
+    let fh = yh land mask56 and fl = yl in
+    (* The emitted digit is certain only if the true fraction cannot
+       reach the next integer. *)
+    if not (le2p fh fl err one_hi 0) then -1
+    else begin
+      let tc1_true = le2p fh fl err mmh mml
+      and tc1_false = le2p mmh mml err fh fl in
+      let sl = fl + mpl in
+      (* fraction + m⁺ < 3 frame units ≪ 2^61: mask61 is identity *)
+      let sh = (fh + mph + (sl lsr 56)) land mask61 in
+      let sl = sl land mask56 in
+      let tc2_true = reaches_one ~high_ok sh sl
+      and tc2_false = le2p sh sl (2 * err) one_hi 0 in
+      if not ((tc1_true || tc1_false) && (tc2_true || tc2_false)) then -1
+      else if tc1_false && tc2_false then begin
+        (* A leading zero only continues under a mis-scaled frame: the
+           reference's first digit is zero only when it rounds up at
+           once. *)
+        if n >= max_digits || (n = 1 && d = 0) then -1
         else begin
-          (* Estimate not too low: X + m⁺ < 1 frame unit, so every hi
-             part here is below 2^57 and the mask57s are identities. *)
-          let l10 = xl * 10 in
-          let yh = ((xh land mask57) * 10) + (l10 lsr 56)
-          and yl = l10 land mask56 in
+          let (digits [@lint.width 4]) = p.digits in
+          Array.unsafe_set digits (n - 1) d;
+          (* On the continue branch tc2 is certainly false: fraction +
+             m⁺ < 1 frame unit, so each scaled hi part is below 2^57
+             (mask57 identities) and the error stays below 2·10^17 <
+             2^58 (mask58 identity, see the header's error
+             discipline). *)
+          let l10 = fl * 10 in
+          let yh = (fh * 10) + (l10 lsr 56) and yl = l10 land mask56 in
           let p10 = mpl * 10 in
           let mph = ((mph land mask57) * 10) + (p10 lsr 56)
           and mpl = p10 land mask56 in
           let m10 = mml * 10 in
           let mmh = ((mmh land mask57) * 10) + (m10 lsr 56)
           and mml = m10 land mask56 in
-          loop 1 yh yl mph mpl mmh mml (10 * err0) (10 * err0)
+          digit_loop p ~high_ok (n + 1) yh yl mph mpl mmh mml
+            ((10 * err) land mask58)
+        end
+      end
+      else begin
+        let last =
+          if tc1_true && not tc2_true then d
+          else if tc2_true && not tc1_true then d + 1
+          else begin
+            (* Both endpoints in range: the reference breaks the tie by
+               comparing 2·frac with one; equality (an exact tie) is
+               never certifiable and falls back, so the caller's tie
+               strategy is moot on hits. *)
+            let t2l = (fl lsl 1) land mask56 in
+            let t2h = (fh lsl 1) + (fl lsr 55) in
+            if le2p t2h t2l (2 * err) one_hi 0 then d
+            else if gt2 t2h t2l one_hi 0 then d + 1
+            else -2
+          end
+        in
+        if last < 0 || last > 9 then -1
+        else begin
+          let (digits [@lint.width 4]) = p.digits in
+          Array.unsafe_set digits (n - 1) last;
+          (* A rounded-up last digit means tc2 held, so sh ≥ one_hi. *)
+          let stop = p.stop in
+          Array.unsafe_set stop 0 (if last > d then sh - one_hi else sh);
+          Array.unsafe_set stop 1 sl;
+          Array.unsafe_set stop 2 (2 * err);
+          n
         end
       end
     end
   end
 [@@lint.certified_width 62]
+
+(* Enter the digit loop at k = est + fix ([fix] from [too_low]).  The
+   loop state starts at Y = v·10^(1-k): when the estimate was not too
+   low the frame is premultiplied by ten first (the reference's
+   premultiply). *)
+let[@lint.no_alloc] start p ~high_ok ~fix (xh [@lint.width 60])
+    (xl [@lint.width 56]) (mph [@lint.width 60]) (mpl [@lint.width 56])
+    (mmh [@lint.width 60]) (mml [@lint.width 56]) =
+  if fix = 1 then digit_loop p ~high_ok 1 xh xl mph mpl mmh mml err0
+  else begin
+    (* Not too low: X + m⁺ < 1 frame unit and m⁻ ≤ m⁺, so every hi part
+       here is below 2^57 and the mask57s are identities. *)
+    let l10 = xl * 10 in
+    let yh = ((xh land mask57) * 10) + (l10 lsr 56) and yl = l10 land mask56 in
+    let p10 = mpl * 10 in
+    let mph = ((mph land mask57) * 10) + (p10 lsr 56)
+    and mpl = p10 land mask56 in
+    let m10 = mml * 10 in
+    let mmh = ((mmh land mask57) * 10) + (m10 lsr 56)
+    and mml = m10 land mask56 in
+    digit_loop p ~high_ok 1 yh yl mph mpl mmh mml (10 * err0)
+  end
+[@@lint.certified_width 62]
+
+(* Which side of the half quantum H a boundary m falls: 1 when H
+   certainly dominates (widen to H, inclusive), 0 when m certainly
+   exceeds H, -1 when the intervals overlap.  The reference widens on
+   H ≥ m, so exact equality is uncertain here. *)
+let[@lint.no_alloc] widens (hh [@lint.width 60]) (hl [@lint.width 56])
+    (mh [@lint.width 60]) (ml [@lint.width 56]) =
+  if le2p mh ml err0 hh hl then 1 else if le2p hh hl err0 mh ml then 0 else -1
+[@@lint.certified_width 62]
+
+(* Classify fixed-format positions m .. total-1 after the loop's last
+   digit: zeros while W·10^t < 1, then # marks.  Returns the number of
+   digit positions (significant digits plus zeros), or -1.  Called with
+   m < total ≤ 17, so the error before each multiply is at most
+   4·10^15 and W < 1 frame unit on the continue branch (mask56 and
+   mask58 identities). *)
+let[@lint.no_alloc] rec tail (digits [@lint.width 4]) ~high_ok
+    (m [@lint.width 5]) (total [@lint.width 5]) (wh [@lint.width 60])
+    (wl [@lint.width 56]) (we [@lint.width 58]) =
+  if reaches_one ~high_ok wh wl then m
+  else if not (le2p wh wl we one_hi 0) then -1
+  else begin
+    Array.unsafe_set digits m 0;
+    let m1 = m + 1 in
+    if m1 >= total || m1 > max_digits then total
+    else begin
+      let l10 = wl * 10 in
+      tail digits ~high_ok m1 total
+        (((wh land mask56) * 10) + (l10 lsr 56))
+        (l10 land mask56)
+        ((10 * we) land mask58)
+    end
+  end
+[@@lint.certified_width 62]
+
+(* A fixed-format result: bits 0-11 hold k + 1024, 12-16 the digit
+   positions (digits plus zeros) in [p.digits], 17-21 the span k - j,
+   22-26 the loop's digit count.  Callers pass [kb] = (k + 1024) land
+   0xfff; k stays within the table's ±350 (plus the span), so the mask
+   is an identity. *)
+let[@lint.no_alloc] pack_fixed (n [@lint.width 5]) (nz [@lint.width 5])
+    (span [@lint.width 5]) (kb [@lint.width 12]) =
+  (n lsl 22) lor (span lsl 17) lor (nz lsl 12) lor kb
+[@@lint.certified_width 62]
+
+(* Fixed format at absolute position j (Fixed_format.absolute on the
+   frame): the single-digit case, boundary widening to the half quantum,
+   the fixup on the widened range, the digit loop and the tail. *)
+let[@lint.no_alloc] fixed_at p ~high_ok ~est:(est [@lint.width_signed 11])
+    ~j:(j [@lint.width_signed 14]) (xh [@lint.width 60]) (xl [@lint.width 56])
+    (mph [@lint.width 60]) (mpl [@lint.width 56]) (mmh [@lint.width 60])
+    (mml [@lint.width 56]) =
+  let qh = j - est in
+  if qh < -18 || qh > 1 then -1
+  else begin
+    (* H = 10^qh/2·2^112 = (c + θ)·2^(gamma+111): shift s ∈ [13, 76]
+       for qh ∈ [-18, 1], well inside the padded window. *)
+    let s = -(Array.unsafe_get T.exps (qh - T.q_min) + 111) in
+    if s < 13 || s > 76 then -1
+    else begin
+      let (winh [@lint.width 28]) = p.winh
+      and (digits [@lint.width 4]) = p.digits in
+      load_entry winh qh;
+      let hh = window60 winh (s + 56) and hl = window56 winh s in
+      if le2p xh xl err0 hh hl then begin
+        (* v < 10^j/2: one zero digit at position j *)
+        Array.unsafe_set digits 0 0;
+        pack_fixed 1 1 1 ((j + 1 + 1024) land 0xfff)
+      end
+      else if not (le2p hh hl err0 xh xl) then -1
+      else begin
+        let wp = widens hh hl mph mpl and wm = widens hh hl mmh mml in
+        if wp < 0 || wm < 0 then -1
+        else begin
+          let mph = if wp = 1 then hh else mph
+          and mpl = if wp = 1 then hl else mpl
+          and mmh = if wm = 1 then hh else mmh
+          and mml = if wm = 1 then hl else mml in
+          let high_ok = high_ok || wp = 1 in
+          let fix = too_low ~high_ok xh xl mph mpl in
+          if fix < 0 then -1
+          else begin
+            let n = start p ~high_ok ~fix xh xl mph mpl mmh mml in
+            let k = est + fix in
+            let kb = (k + 1024) land 0xfff in
+            let span = k - j in
+            if n < 1 || n > max_digits || n > span || span > max_digits then -1
+            else if n = span then pack_fixed n n span kb
+            else begin
+              (* W < 3 frame units, its error below 4·10^16 (n < 17) *)
+              let stop = p.stop in
+              let (wh [@lint.width 60]) = Array.unsafe_get stop 0
+              and (wl [@lint.width 56]) = Array.unsafe_get stop 1
+              and (we [@lint.width 58]) = Array.unsafe_get stop 2 in
+              let nz = tail digits ~high_ok n span wh wl we in
+              if nz < 1 || nz < n || nz > max_digits || nz > span then -1
+              else pack_fixed n nz span kb
+            end
+          end
+        end
+      end
+    end
+  end
+[@@lint.certified_width 62]
+
+(* Relative i (Fixed_format.relative on the frame): place the last
+   digit from the guessed k and retry with the k the attempt produced
+   when rounding carried into the next power of ten. *)
+let[@lint.no_alloc] rec relative_at p ~high_ok ~est:(est [@lint.width_signed 11])
+    ~i:(i [@lint.width 5]) ~attempts:(attempts [@lint.width 2])
+    ~guess:(guess [@lint.width_signed 13]) (xh [@lint.width 60])
+    (xl [@lint.width 56]) (mph [@lint.width 60]) (mpl [@lint.width 56])
+    (mmh [@lint.width 60]) (mml [@lint.width 56]) =
+  let r = fixed_at p ~high_ok ~est ~j:(guess - i) xh xl mph mpl mmh mml in
+  if r < 0 then -1
+  else begin
+    let k = (r land 0xfff) - 1024 in
+    if k = guess || attempts < 1 then r
+    else
+      relative_at p ~high_ok ~est ~i ~attempts:(attempts - 1) ~guess:k xh xl
+        mph mpl mmh mml
+  end
+[@@lint.certified_width 62]
+
+type kind = Shortest | Relative | Absolute
+
+(* One attempt on the shared frame.  Shortest: (n lsl 12) lor (k + 1024)
+   with the n digits in [p.digits]; fixed: see [pack_fixed]; -1 for an
+   uncertain verdict. *)
+let[@lint.no_alloc] run p ~f:(f [@lint.width 53]) ~lf:(lf [@lint.width 6])
+    ~e:(e [@lint.width_signed 12]) ~narrow ~high_ok
+    ~est:(est [@lint.width_signed 11]) ~(kind : kind)
+    ~pos:(pos [@lint.width_signed 14]) =
+  let t = load_frame p ~f ~lf ~e ~est in
+  if t < 0 then -1
+  else begin
+    let (winc [@lint.width 28]) = p.winc
+    and (winp [@lint.width 28]) = p.winp in
+    let xh = window60 winp (t + 56) and xl = window56 winp t in
+    (* m⁺ = 2^(e-1)·10^q = c·2^(-(t+1)); m⁻ shifts once more when the
+       mantissa sits on a power-of-two boundary (narrow low gap). *)
+    let mph = window60 winc (t + 57) and mpl = window56 winc (t + 1) in
+    let mmh = if narrow then window60 winc (t + 58) else mph
+    and mml = if narrow then window56 winc (t + 2) else mpl in
+    if kind = Absolute then
+      fixed_at p ~high_ok ~est ~j:pos xh xl mph mpl mmh mml
+    else begin
+      (* Shortest scales on the float range; Relative guesses its k the
+         same way before widening (Scaling.scale_on_high on the
+         unwidened range). *)
+      let fix = too_low ~high_ok xh xl mph mpl in
+      if fix < 0 then -1
+      else if kind = Shortest then begin
+        let n = start p ~high_ok ~fix xh xl mph mpl mmh mml in
+        if n < 1 || n > max_digits then -1
+        else (n lsl 12) lor (est + fix + 1024)
+      end
+      else if pos < 1 || pos > max_digits then -1
+      else
+        relative_at p ~high_ok ~est ~i:pos ~attempts:2 ~guess:(est + fix) xh
+          xl mph mpl mmh mml
+    end
+  end
+[@@lint.certified_width 62]
+
+(* Run one attempt with the pool marked busy.  Not [Fun.protect]: the
+   two closures it allocates are measurable at this call rate.  [run]
+   only raises via the budget hooks. *)
+let attempt p ~f ~lf ~e ~narrow ~high_ok ~est ~kind ~pos =
+  p.busy <- true;
+  match run p ~f ~lf ~e ~narrow ~high_ok ~est ~kind ~pos with
+  | r ->
+    p.busy <- false;
+    r
+  | exception ex ->
+    let bt = Printexc.get_raw_backtrace () in
+    p.busy <- false;
+    Printexc.raise_with_backtrace ex bt
 
 (* Attempt a certified shortest conversion of v = f·2^e.  [mantissa_bits]
    is bit_length f, [est] the caller's Fast_estimate of ceil(log10 v) —
@@ -344,18 +597,9 @@ let convert_shortest ~f ~e ~mantissa_bits ~narrow ~high_ok ~est =
   let p = Domain.DLS.get pool_key in
   if p.busy then None
   else begin
-    p.busy <- true;
-    (* Not [Fun.protect]: the two closures it allocates are measurable
-       at this call rate.  [run] only raises via the budget hooks. *)
     let r =
-      match run p ~f ~lf:mantissa_bits ~e ~narrow ~high_ok ~est with
-      | r ->
-        p.busy <- false;
-        r
-      | exception ex ->
-        let bt = Printexc.get_raw_backtrace () in
-        p.busy <- false;
-        Printexc.raise_with_backtrace ex bt
+      attempt p ~f ~lf:mantissa_bits ~e ~narrow ~high_ok ~est
+        ~kind:Shortest ~pos:0
     in
     if r < 0 then begin
       if Metrics.enabled () then Metrics.incr m_fallback;
@@ -365,5 +609,33 @@ let convert_shortest ~f ~e ~mantissa_bits ~narrow ~high_ok ~est =
       if Metrics.enabled () then Metrics.incr m_hit;
       let n = r lsr 12 and k = (r land 0xfff) - 1024 in
       Some (Array.sub p.digits 0 n, k)
+    end
+  end
+
+type fixed = { digits : int array; loop_digits : int; span : int; k : int }
+
+let convert_fixed ~f ~e ~mantissa_bits ~narrow ~high_ok ~est ~relative ~pos =
+  let p = Domain.DLS.get pool_key in
+  if p.busy then None
+  else begin
+    let r =
+      attempt p ~f ~lf:mantissa_bits ~e ~narrow ~high_ok ~est
+        ~kind:(if relative then Relative else Absolute)
+        ~pos
+    in
+    if r < 0 then begin
+      if Metrics.enabled () then Metrics.incr m_fixed_fallback;
+      None
+    end
+    else begin
+      if Metrics.enabled () then Metrics.incr m_fixed_hit;
+      let nz = (r lsr 12) land 31 in
+      Some
+        {
+          digits = Array.sub p.digits 0 nz;
+          loop_digits = r lsr 22;
+          span = (r lsr 17) land 31;
+          k = (r land 0xfff) - 1024;
+        }
     end
   end

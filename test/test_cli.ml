@@ -379,6 +379,30 @@ exit $code
   Alcotest.(check int) "closed pipe exits 5 (--jobs)" 5
     (run_script (one "--jobs 2"))
 
+(* Every binary's man page renders: cmdliner validates the markup only
+   when the page is printed, so a bad escape in an example block shows
+   up as an error on stderr from --help and nowhere else. *)
+let test_help_renders () =
+  let bin_dir =
+    Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name)) "bin"
+  in
+  List.iter
+    (fun name ->
+      let exe = Filename.concat bin_dir (name ^ ".exe") in
+      let tmp_err = Filename.temp_file name ".err" in
+      let status =
+        Sys.command
+          (Printf.sprintf "%s --help=plain > /dev/null 2> %s"
+             (Filename.quote exe) (Filename.quote tmp_err))
+      in
+      let ic = open_in_bin tmp_err in
+      let err = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      Sys.remove tmp_err;
+      Alcotest.(check int) (name ^ " --help exit") 0 status;
+      Alcotest.(check string) (name ^ " --help stderr") "" err)
+    [ "bdprint"; "bdprintd"; "bdlint" ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -403,5 +427,7 @@ let () =
             test_sigint_stream;
           Alcotest.test_case "SIGPIPE interrupts stream" `Quick
             test_sigpipe_stream;
+          Alcotest.test_case "--help renders for every binary" `Quick
+            test_help_renders;
         ] );
     ]

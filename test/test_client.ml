@@ -249,6 +249,15 @@ let raw_send fd s =
   in
   go 0 (Bytes.length b)
 
+(* Poll [cond] every millisecond until it holds; fail after [timeout_s]. *)
+let wait_until ?(timeout_s = 5.0) what cond =
+  let deadline = Unix.gettimeofday () +. timeout_s in
+  while not (cond ()) do
+    if Unix.gettimeofday () > deadline then
+      Alcotest.failf "timed out waiting for %s" what;
+    Thread.delay 0.001
+  done
+
 let test_shed_retry_after_honored () =
   let slow input =
     Unix.sleepf 0.05;
@@ -275,8 +284,25 @@ let test_shed_retry_after_honored () =
      meaningful (~50 ms), then occupy the single admission slot *)
   check_ok "warmup" "0.1" (Client.convert c "0.1");
   let occupier = raw_connect port in
-  raw_send occupier "CONV 0.5\n";
-  Thread.delay 0.005;
+  (* The occupier holds the slot once the server has admitted it and
+     handed it to the pool: submitted-not-completed turns positive.  It
+     can itself be shed if it lands before the warmup's slot is released
+     (the slot is freed just after the reply is written), so resend
+     until it is admitted. *)
+  let occupied () =
+    let sup = (Server.stats server).Server.supervisor in
+    sup.Service.Supervisor.submitted - sup.Service.Supervisor.completed >= 1
+  in
+  let rec occupy attempts =
+    let shed0 = (Server.stats server).Server.shed_queue_full in
+    raw_send occupier "CONV 0.5\n";
+    wait_until "occupier admitted or shed" (fun () ->
+        occupied () || (Server.stats server).Server.shed_queue_full > shed0);
+    if not (occupied ()) then
+      if attempts = 0 then Alcotest.fail "occupier never admitted"
+      else occupy (attempts - 1)
+  in
+  occupy 5;
   (* the client gets SHED queue-full, honors the hint, retries, wins *)
   check_ok "shed then converted" "1.5" (Client.convert c "1.5");
   let s = Client.stats c in

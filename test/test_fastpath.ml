@@ -5,8 +5,9 @@
    binary32 sweep — stratified by default, every positive finite value
    under BDPRINT_EXHAUSTIVE32=1 — asserting byte equality between the
    fast path and the exact kernels (themselves differentially pinned to
-   the pure reference by test_fuzz) while measuring the fallback rate
-   the ISSUE caps at 5%. *)
+   the pure reference by test_fuzz) while measuring the fallback rate,
+   capped at 5%.  The fixed-format entry point gets its own verdict
+   checks and a hit-rate floor on the Schryer sample. *)
 
 module Nat = Bignum.Nat
 module T = Fastpath.Pow10_table
@@ -289,6 +290,90 @@ let test_budget_parity () =
         "budget actually fired" true
         (String.length fast >= 6 && String.sub fast 0 6 = "error:"))
 
+(* ---------- fixed format ---------- *)
+
+let fixed_string fmt v req =
+  match Dragon.Fixed_format.convert fmt v req with
+  | Ok r -> Format.asprintf "%a" Dragon.Fixed_format.pp r
+  | Error e -> "error: " ^ Robust.Error.to_string e
+
+let test_fixed_uncertain_verdicts () =
+  (* 0.1 = f·2^e with a full 53-bit mantissa; the dispatcher's estimate *)
+  let f = 0x1999999999999a and e = -56 in
+  let est0 = Dragon.Scaling.fast_estimate_b10 ~bits:53 ~e in
+  let attempt ?(est = est0) ?(f = f) ?(e = e) ~relative ~pos () =
+    Fastpath.convert_fixed ~f ~e ~mantissa_bits:(Nat.bit_length (Nat.of_int f))
+      ~narrow:false ~high_ok:(f land 1 = 0) ~est ~relative ~pos
+    = None
+  in
+  Alcotest.(check bool) "sane relative request hits" false
+    (attempt ~relative:true ~pos:3 ());
+  Alcotest.(check bool) "sane absolute request hits" false
+    (attempt ~relative:false ~pos:(-5) ());
+  Alcotest.(check bool) "est out of table" true
+    (attempt ~est:400 ~relative:true ~pos:3 ());
+  Alcotest.(check bool) "est off by a mile" true
+    (attempt ~est:25 ~relative:true ~pos:3 ());
+  Alcotest.(check bool) "relative width past 17" true
+    (attempt ~relative:true ~pos:18 ());
+  Alcotest.(check bool) "relative width below 1" true
+    (attempt ~relative:true ~pos:0 ());
+  Alcotest.(check bool) "absolute span past 17" true
+    (attempt ~relative:false ~pos:(-30) ());
+  Alcotest.(check bool) "absolute position far above" true
+    (attempt ~relative:false ~pos:5 ());
+  (* an exact tie on the half quantum: 2.5 = 5·2^-1 to one digit *)
+  Alcotest.(check bool) "exact tie" true
+    (attempt ~f:5 ~e:(-1) ~est:1 ~relative:true ~pos:1 ())
+
+let test_fixed_budget_parity () =
+  let tight =
+    { (Robust.Budget.get ()) with Robust.Budget.max_output_digits = 2 }
+  in
+  Robust.Budget.with_budget tight (fun () ->
+      match Ieee.decompose 3.14159 with
+      | Value.Finite v ->
+        List.iter
+          (fun req ->
+            let fast = fixed_string b64 v req in
+            let exact = without_fastpath (fun () -> fixed_string b64 v req) in
+            Alcotest.(check string) "same budget outcome" exact fast)
+          Dragon.Fixed_format.[ Relative 2; Relative 3; Absolute (-1);
+                                Absolute (-4) ]
+      | _ -> assert false)
+
+(* The claim behind the fixed-format tier: on the 2,000-value Schryer
+   sample, 17-digit requests are answered by the fast path at least 95%
+   of the time (the counters are deterministic), byte-identical to the
+   exact kernels. *)
+let test_fixed17_hit_rate () =
+  let was_metrics = Telemetry.Metrics.enabled () in
+  Telemetry.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Telemetry.Metrics.set_enabled was_metrics)
+  @@ fun () ->
+  let hits0 = Fastpath.fixed_hit_count ()
+  and fb0 = Fastpath.fixed_fallback_count () in
+  let values = Workloads.Schryer.corpus ~size:2000 () in
+  Array.iter
+    (fun x ->
+      match Ieee.decompose x with
+      | Value.Finite v ->
+        let req = Dragon.Fixed_format.Relative 17 in
+        let fast = fixed_string b64 v req in
+        let exact = without_fastpath (fun () -> fixed_string b64 v req) in
+        if fast <> exact then
+          Alcotest.failf "fixed-17 mismatch on %h: %s vs %s" x fast exact
+      | _ -> ())
+    values;
+  let hits = Fastpath.fixed_hit_count () - hits0
+  and fallbacks = Fastpath.fixed_fallback_count () - fb0 in
+  Printf.printf "fixed-17 on %d Schryer values: %d hits, %d fallbacks\n%!"
+    (Array.length values) hits fallbacks;
+  Alcotest.(check int) "every value attempted" (Array.length values)
+    (hits + fallbacks);
+  Alcotest.(check bool) "hit rate at least 95%" true
+    (float_of_int hits >= 0.95 *. float_of_int (Array.length values))
+
 let () =
   Alcotest.run "fastpath"
     [
@@ -307,6 +392,12 @@ let () =
             test_budget_parity;
           Alcotest.test_case "monomorphized estimator agreement" `Quick
             test_fast_estimate_b10;
+          Alcotest.test_case "fixed format uncertain verdicts" `Quick
+            test_fixed_uncertain_verdicts;
+          Alcotest.test_case "fixed format budget parity" `Quick
+            test_fixed_budget_parity;
+          Alcotest.test_case "fixed-17 hit rate on Schryer" `Quick
+            test_fixed17_hit_rate;
         ] );
       ( "differential",
         [

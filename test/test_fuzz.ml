@@ -31,6 +31,7 @@ let iters = env_int "FUZZ_ITERS" 10_000
 let seed = env_int "FUZZ_SEED" 0x5eed
 let b64 = Format_spec.binary64
 let b16 = Format_spec.binary16
+let b32 = Format_spec.binary32
 
 let short s = if String.length s <= 80 then s else String.sub s 0 77 ^ "..."
 
@@ -252,7 +253,9 @@ let test_scratch_pure_differential () =
           Dragon.Fixed_format.Relative (1 + Random.State.int st 17)
         else Dragon.Fixed_format.Absolute (Random.State.int st 40 - 20)
       in
-      let kernel = Dragon.Fixed_format.convert b64 v req in
+      let kernel =
+        without_fastpath (fun () -> Dragon.Fixed_format.convert b64 v req)
+      in
       let pure =
         with_pure (fun () -> Dragon.Fixed_format.convert b64 v req)
       in
@@ -268,44 +271,143 @@ let test_scratch_pure_differential () =
     | _ -> ()
   done
 
-(* The fast path only dispatches on free-format conversions, so fixed
-   format and the %e/%f/%g renderings must be bit-for-bit invariant
-   under the dispatch gate — printed with the fast path enabled and
-   disabled, every format agrees (and free format additionally agrees
-   with the pure reference via check_paths_agree above). *)
+(* Fixed format dispatches through the table fast path too, so every
+   fixed-format request is checked three ways: the default dispatch
+   (fast path with exact fallback), the exact kernels alone (gate off)
+   and the pure-Nat reference (force-pure).  The comparison is on the
+   full structure — digits, zeros, # marks and k — not just the
+   rendering. *)
+let show_fixed fmt (v : Value.finite) req =
+  match Dragon.Fixed_format.convert fmt v req with
+  | Ok r -> Format.asprintf "%a" Dragon.Fixed_format.pp r
+  | Error e -> "error: " ^ Robust.Error.to_string e
+
+let show_request = function
+  | Dragon.Fixed_format.Relative i -> Printf.sprintf "Relative %d" i
+  | Dragon.Fixed_format.Absolute j -> Printf.sprintf "Absolute %d" j
+
+let check_fixed_three_way ?(fmt = b64) what (v : Value.finite) req =
+  let fast = show_fixed fmt v req in
+  let exact = without_fastpath (fun () -> show_fixed fmt v req) in
+  let pure = with_pure (fun () -> show_fixed fmt v req) in
+  if fast <> pure || exact <> pure then
+    Alcotest.failf "%s, %s: fast %s, exact %s, pure %s" what
+      (show_request req) fast exact pure
+
+(* The requests one value is checked under: a random and the widest
+   relative request, and absolute positions spanning 1..17 digits from
+   the value's leading digit plus one random position around it. *)
+let fixed_requests st (v : Value.finite) =
+  let k =
+    (Dragon.Free_format.convert b64 v).Dragon.Free_format.k
+  in
+  let span = 1 + Random.State.int st 17 in
+  Dragon.Fixed_format.
+    [
+      Relative (1 + Random.State.int st 17);
+      Relative 17;
+      Absolute (k - span);
+      Absolute (k - 17);
+      Absolute (k + 2 - Random.State.int st 22);
+    ]
+
 let test_fastpath_format_invariance () =
+  let was_metrics = Telemetry.Metrics.enabled () in
+  Telemetry.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Telemetry.Metrics.set_enabled was_metrics)
+  @@ fun () ->
+  let hits0 = Fastpath.fixed_hit_count () in
   let st = Random.State.make [| seed; 9 |] in
-  let done_ = ref 0 in
-  while !done_ < 400 do
-    let payload =
-      Int64.logand (Random.State.int64 st Int64.max_int) 0x7FFF_FFFF_FFFF_FFFFL
-    in
-    let x = Int64.float_of_bits payload in
-    match Fp.Ieee.decompose x with
-    | Value.Finite v ->
-      incr done_;
-      let precision = Random.State.int st 18 in
-      let check what f =
-        let fast = f () in
-        let slow = without_fastpath f in
-        if fast <> slow then
-          Alcotest.failf "%s differs under fastpath gate on %h: %S vs %S" what
-            x fast slow
-      in
-      check "%e" (fun () -> Dragon.Cformat.e ~precision x);
-      check "%f" (fun () -> Dragon.Cformat.f ~precision x);
-      check "%g" (fun () -> Dragon.Cformat.g ~precision x);
-      let req = Dragon.Fixed_format.Relative (1 + Random.State.int st 17) in
-      let fixed () =
-        match Dragon.Fixed_format.convert b64 v req with
-        | Ok r -> Dragon.Render.fixed ~neg:v.Fp.Value.neg ~base:10 r
-        | Error e -> "error: " ^ Robust.Error.to_string e
-      in
-      let fast = fixed () and slow = without_fastpath fixed in
-      if fast <> slow then
-        Alcotest.failf "fixed format differs under fastpath gate on %h" x
-    | _ -> ()
-  done
+  let sample =
+    (* Schryer values strided across every binade, then random bits *)
+    let schryer = Workloads.Schryer.corpus () in
+    let stride = Array.length schryer / 200 in
+    Array.append
+      (Array.init 200 (fun i -> schryer.(i * stride)))
+      (Workloads.Corpus.random_finite ~seed 200)
+  in
+  Array.iter
+    (fun x ->
+      match Fp.Ieee.decompose x with
+      | Value.Finite v ->
+        let what = Printf.sprintf "%h" x in
+        List.iter (check_fixed_three_way what v) (fixed_requests st v);
+        (* %e/%f/%g go through the exact decimal oracle, never the fast
+           path: they must not move with the gate either *)
+        let precision = Random.State.int st 18 in
+        let check fmt_name f =
+          let fast = f () and slow = without_fastpath f in
+          if fast <> slow then
+            Alcotest.failf "%s differs under fastpath gate on %h: %S vs %S"
+              fmt_name x fast slow
+        in
+        check "%e" (fun () -> Dragon.Cformat.e ~precision x);
+        check "%f" (fun () -> Dragon.Cformat.f ~precision x);
+        check "%g" (fun () -> Dragon.Cformat.g ~precision x)
+      | _ -> ())
+    sample;
+  (* the differential was not vacuous: the fast path answered most of
+     the requests itself *)
+  Alcotest.(check bool)
+    "fixed fast path dispatched" true
+    (Fastpath.fixed_hit_count () - hits0 > Array.length sample)
+
+(* Named edge cases for the fixed-format fast path, each checked three
+   ways over every relative width and a band of absolute positions. *)
+let test_fixed_edge_cases () =
+  let all_requests =
+    List.init 17 (fun i -> Dragon.Fixed_format.Relative (i + 1))
+    @ List.init 24 (fun i -> Dragon.Fixed_format.Absolute (i - 20))
+  in
+  let finite = function
+    | Value.Finite v -> v
+    | v -> Alcotest.failf "%s is not finite" (Value.to_string v)
+  in
+  let check_all ?(fmt = b64) ?(requests = all_requests) what v =
+    List.iter (check_fixed_three_way ~fmt what v) requests
+  in
+  let d x = finite (Fp.Ieee.decompose x) in
+  (* rounding carries into the next decade *)
+  List.iter
+    (fun x -> check_all (Printf.sprintf "%.17g" x) (d x))
+    [ 9.9999999999999995; Float.pred 10.0; Float.pred 1.0; Float.pred 1e3;
+      9.5; 99.96; 0.99999; 999.9999; 9.9999e-5; 9.999999999999999e22 ];
+  (* extremes and narrow-gap powers of two, also at every absolute
+     span from their leading digit *)
+  List.iter
+    (fun x ->
+      let v = d x in
+      let k = (Dragon.Free_format.convert b64 v).Dragon.Free_format.k in
+      check_all (Printf.sprintf "%h" x) v
+        ~requests:
+          (all_requests
+          @ List.init 18 (fun i -> Dragon.Fixed_format.Absolute (k - i))))
+    [ 5e-324; Float.max_float; Float.min_float; 1.0; 0x1p-1000; 0x1p52;
+      0x1p53; 0x1p100; 0x1p1023; 0x1p-1022 ];
+  (* exact ties on the half quantum: never certifiable, so the exact
+     path must answer, with the tie broken the reference's way *)
+  List.iter
+    (fun (x, req) -> check_all ~requests:[ req ] (Printf.sprintf "%g" x) (d x))
+    Dragon.Fixed_format.
+      [ (2.5, Relative 1); (0.125, Relative 2); (0.5, Absolute 0);
+        (1.5, Absolute 0); (0.375, Relative 2); (1e23, Relative 1);
+        (0.05, Absolute (-1)); (2.5, Absolute 0); (25.0, Absolute 1) ];
+  (* binary16 and binary32 values, reached through their own formats *)
+  List.iter
+    (fun (spec, fmt, max_bits) ->
+      let st = Random.State.make [| seed; max_bits |] in
+      for _ = 1 to 150 do
+        let bits = 1 + Random.State.full_int st max_bits in
+        check_all ~fmt
+          ~requests:
+            Dragon.Fixed_format.
+              [ Relative (1 + Random.State.int st 17); Relative 17;
+                Absolute (Random.State.int st 20 - 12) ]
+          (Printf.sprintf "bits %x" bits)
+          (finite (Fp.Ieee.decompose_bits spec (Int64.of_int bits)))
+      done)
+    [ (Fp.Ieee.spec_binary16, b16, 0x7BFF);
+      (Fp.Ieee.spec_binary32, b32, 0x7F7FFFFF) ]
 
 (* The kernel/pure differential must hold under injected faults too.
    Both digit-loop substrates share their fault points — [run_scratch]
@@ -440,6 +542,8 @@ let () =
               test_scratch_pure_differential;
             Alcotest.test_case "formats invariant under fastpath gate" `Quick
               test_fastpath_format_invariance;
+            Alcotest.test_case "fixed-format fast path edge cases" `Quick
+              test_fixed_edge_cases;
             Alcotest.test_case "totality under injected faults" `Quick
               test_fault_totality;
             Alcotest.test_case "kernel/pure agree under injected faults" `Quick
