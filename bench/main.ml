@@ -9,7 +9,7 @@
    - ablation: estimator accuracy (ours, E7)
    - sweep:    scaling cost by magnitude, the series behind Table 2 (ours)
    - reader:   certified fast paths vs exact (reader tiers, Gay fixed
-               format, Grisu3-style shortest form; ours, E9)
+               format; ours, E9)
    - service:  sequential vs supervised parallel streaming (ours, E10)
    - bignum:   substrate microbenchmarks (ours, E8)
    - kernel:   allocation-free digit loop vs pure-Nat reference
@@ -345,37 +345,7 @@ let reader_bench ~size () =
   Printf.printf "  certified fast path: %8.3f s  (%.1fx; %d hits, %d fallbacks)\n"
     t_gay (t_naive /. t_gay)
     (Baselines.Gay_heuristic.fast_path_hits () - h0)
-    (Baselines.Gay_heuristic.fallbacks () - f0);
-  (* Grisu3-style shortest-form fast path *)
-  let _, t_dragon =
-    time_cpu (fun () ->
-        Array.iter
-          (fun v ->
-            sink :=
-              !sink
-              + Array.length
-                  (Dragon.Free_format.convert b64 v).Dragon.Free_format.digits)
-          values)
-  in
-  let fast0, fb0 = Baselines.Fast_shortest.stats () in
-  let _, t_short =
-    time_cpu (fun () ->
-        Array.iter
-          (fun v ->
-            sink :=
-              !sink
-              + Array.length
-                  (Baselines.Fast_shortest.convert v).Dragon.Free_format.digits)
-          values)
-  in
-  let fast1, fb1 = Baselines.Fast_shortest.stats () in
-  Printf.printf
-    "\n  Shortest form, Grisu3-style candidates + exact verification\n\
-    \  (digit-identical to the paper's printer):\n";
-  Printf.printf "  Burger-Dybvig free format: %8.3f s\n" t_dragon;
-  Printf.printf "  certified fast shortest:   %8.3f s  (%.1fx; %d fast, %d \
-                 fallbacks)\n"
-    t_short (t_dragon /. t_short) (fast1 - fast0) (fb1 - fb0)
+    (Baselines.Gay_heuristic.fallbacks () - f0)
 
 (* ------------------------------------------------------------------ *)
 (* Bignum substrate microbenchmarks *)
@@ -696,7 +666,7 @@ let service_bench ~size () =
    client-side conversion (OK must match exactly, DEG must read back to
    the same value), so a chaos-faulted run proves zero wrong outputs
    under worker kills.  Latency percentiles and the daemon's
-   shed/degraded/cache counters land in BENCH_service.json; any wrong
+   shed/crash counters land in BENCH_service.json; any wrong
    output makes the bench exit non-zero. *)
 
 let daemon_bench ~size () =
@@ -716,7 +686,8 @@ let daemon_bench ~size () =
         ~strategy:Dragon.Scaling.Fast_estimate ~notation:Dragon.Render.Auto
         Fp.Format_spec.binary64 v
   in
-  (* corpus: random doubles plus a hot set that exercises the cache *)
+  (* corpus: Schryer doubles plus a quarter of repeats from a small hot
+     set *)
   let hot = [| "0.1"; "1"; "0.5"; "1e23"; "-2.5"; "3.75" |] in
   let corpus =
     Array.map Dragon.Printer.print (Workloads.Schryer.corpus ~size ())
@@ -955,8 +926,7 @@ let daemon_bench ~size () =
   Printf.printf "  outcomes    : %d ok, %d degraded, %d failed, %d shed, %d WRONG\n"
     (Atomic.get n_ok) (Atomic.get n_deg) (Atomic.get n_err)
     (Atomic.get n_shed) (Atomic.get n_wrong);
-  Printf.printf "  daemon      : %d cache hits, %d shed, %d crashes, %d respawns\n"
-    (counter_of "cache_hits")
+  Printf.printf "  daemon      : %d shed, %d crashes, %d respawns\n"
     (counter_of "shed_queue_full" + counter_of "shed_draining")
     (counter_of "sup_crashes") (counter_of "sup_respawns");
   let oc = open_out "BENCH_service.json" in
@@ -971,8 +941,8 @@ let daemon_bench ~size () =
   "burst": { "requests": %d, "window": %d, "wall_s": %.3f, "rps": %.0f },
   "latency_us": { "p50": %.0f, "p90": %.0f, "p99": %.0f, "mean": %.0f },
   "outcomes": { "ok": %d, "degraded": %d, "failed": %d, "shed": %d, "wrong": %d },
-  "daemon": { "cache_hits": %d, "shed_queue_full": %d, "shed_draining": %d,
-              "crashes": %d, "respawns": %d, "breaker_trips": %d }
+  "daemon": { "shed_queue_full": %d, "shed_draining": %d, "crashes": %d,
+              "respawns": %d, "breaker_trips": %d }
 }
 |}
     host port
@@ -983,7 +953,6 @@ let daemon_bench ~size () =
     (float_of_int burst_requests /. burst_wall)
     (pct 0.50) (pct 0.90) (pct 0.99) mean (Atomic.get n_ok) (Atomic.get n_deg)
     (Atomic.get n_err) (Atomic.get n_shed) (Atomic.get n_wrong)
-    (counter_of "cache_hits")
     (counter_of "shed_queue_full")
     (counter_of "shed_draining")
     (counter_of "sup_crashes") (counter_of "sup_respawns")

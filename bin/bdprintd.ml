@@ -3,8 +3,8 @@
    Fronts the supervised conversion service (worker domains, retries,
    circuit breaker, degraded fallback, crash respawn) with the Wire
    line protocol over a Unix-domain or TCP socket: bounded admission
-   with explicit SHED replies, per-connection deadlines, a sharded
-   hot-value cache, and graceful drain on SIGTERM/SIGINT — accepted
+   with explicit SHED replies, per-connection deadlines, and graceful
+   drain on SIGTERM/SIGINT — accepted
    requests finish, --metrics files flush, then a clean exit 0.
 
    The conversion semantics are bdprint's defaults: shortest
@@ -80,29 +80,6 @@ let admission_arg =
         ~doc:
           "Admission bound: maximum in-flight conversion requests; beyond \
            it requests are answered $(b,SHED queue-full).")
-
-let cache_arg =
-  Arg.(
-    value & opt int 4096
-    & info [ "cache-size" ] ~docv:"N"
-        ~doc:"Hot-value cache capacity in entries; 0 disables the cache.")
-
-let cache_shards_arg =
-  Arg.(
-    value & opt int 8
-    & info [ "cache-shards" ] ~docv:"N" ~doc:"Cache shard count.")
-
-let memo_min_us_arg =
-  Arg.(
-    value & opt float 5.0
-    & info [ "memo-min-us" ] ~docv:"US"
-        ~doc:
-          "Skip memoizing conversions that complete in under $(docv) \
-           microseconds: the table fast path answers in about 1 us \
-           (BENCH_kernel.json), cheaper to recompute than to cache, \
-           while exact-kernel conversions take tens of microseconds and \
-           stay memoized.  The default sits at the measured cutover \
-           between the two populations.  0 memoizes everything.")
 
 let deadline_arg =
   Arg.(
@@ -188,15 +165,14 @@ let flush_metrics metrics_file =
 
 let print_final_stats (s : Server.stats) =
   Printf.eprintf
-    "bdprintd: served %d requests on %d connections: %d ok (%d cached, %d \
-     memo-skips), %d degraded, %d failed, %d shed (%d queue-full, %d \
-     overload, %d draining), %d protocol errors\n\
+    "bdprintd: served %d requests on %d connections: %d ok, %d degraded, \
+     %d failed, %d shed (%d queue-full, %d overload, %d draining), %d \
+     protocol errors\n\
      bdprintd: workers: %d submitted, %d crashes, %d wedges, %d respawns, \
      breaker=%s trips=%d\n\
      %!"
     s.Server.requests s.Server.connections s.Server.replies_ok
-    s.Server.cache_hits s.Server.cache_skips s.Server.replies_degraded
-    s.Server.replies_failed
+    s.Server.replies_degraded s.Server.replies_failed
     (s.Server.shed_queue_full + s.Server.shed_overload + s.Server.shed_draining)
     s.Server.shed_queue_full s.Server.shed_overload s.Server.shed_draining
     s.Server.proto_errors s.Server.supervisor.Service.Supervisor.submitted
@@ -206,12 +182,10 @@ let print_final_stats (s : Server.stats) =
     s.Server.supervisor.Service.Supervisor.breaker_state
     s.Server.supervisor.Service.Supervisor.breaker_trips
 
-let run listen jobs admission cache_size cache_shards memo_min_us deadline_ms
-    stuck_ms show_stats metrics_file trace_file flight_file =
+let run listen jobs admission deadline_ms stuck_ms show_stats metrics_file
+    trace_file flight_file =
   if jobs < 1 then `Error (false, "--jobs must be at least 1")
   else if admission < 1 then `Error (false, "--admission must be at least 1")
-  else if cache_size < 0 then `Error (false, "--cache-size must be >= 0")
-  else if memo_min_us < 0. then `Error (false, "--memo-min-us must be >= 0")
   else if (match deadline_ms with Some ms -> ms < 0 | None -> false) then
     `Error (false, "--deadline-ms must be >= 0")
   else if stuck_ms < 0 then `Error (false, "--stuck-ms must be >= 0")
@@ -243,9 +217,6 @@ let run listen jobs admission cache_size cache_shards memo_min_us deadline_ms
         Server.default_config with
         Server.jobs;
         admission_capacity = admission;
-        cache_capacity = cache_size;
-        cache_shards;
-        memo_min_us;
         default_deadline_ms = deadline_ms;
         watchdog;
       }
@@ -304,8 +275,7 @@ let cmd =
     (Cmd.info "bdprintd" ~version:"1.0.0" ~doc ~man)
     Term.(
       ret
-        (const run $ listen_arg $ jobs_arg $ admission_arg $ cache_arg
-       $ cache_shards_arg $ memo_min_us_arg $ deadline_arg $ stuck_ms_arg
-       $ stats_arg $ metrics_arg $ trace_arg $ flight_arg))
+        (const run $ listen_arg $ jobs_arg $ admission_arg $ deadline_arg
+       $ stuck_ms_arg $ stats_arg $ metrics_arg $ trace_arg $ flight_arg))
 
 let () = exit (Cmd.eval cmd)

@@ -8,9 +8,6 @@ type listen = Unix_path of string | Tcp of string * int
 type config = {
   jobs : int;
   admission_capacity : int;
-  cache_capacity : int;
-  cache_shards : int;
-  memo_min_us : float;
   default_deadline_ms : int option;
   retry : Supervisor.retry_policy;
   breaker : Service.Breaker.policy;
@@ -21,9 +18,6 @@ let default_config =
   {
     jobs = 2;
     admission_capacity = 256;
-    cache_capacity = 4096;
-    cache_shards = 8;
-    memo_min_us = 0.;
     default_deadline_ms = None;
     retry = Supervisor.default_retry;
     breaker = Service.Breaker.default_policy;
@@ -35,15 +29,12 @@ type stats = {
   active_connections : int;
   requests : int;
   replies_ok : int;
-  cache_hits : int;
-  cache_skips : int;
   replies_degraded : int;
   replies_failed : int;
   shed_queue_full : int;
   shed_overload : int;
   shed_draining : int;
   proto_errors : int;
-  cache : Memo.stats;
   supervisor : Supervisor.stats;
 }
 
@@ -72,8 +63,6 @@ type core = {
   mutable conns_active : int;
   mutable n_requests : int;
   mutable n_ok : int;
-  mutable n_cache_hits : int;
-  mutable n_cache_skips : int;
   mutable n_deg : int;
   mutable n_failed : int;
   mutable n_shed_full : int;
@@ -96,7 +85,6 @@ type t = {
   addr_str : string;
   tcp_port : int option;
   sup : Supervisor.t;
-  memo : Memo.t option;
   started : float;  (** wall-clock start time, for uptime reporting *)
   stop : bool Atomic.t;  (** drain request flag; async-signal-safe *)
   mutable accept_thread : Thread.t option;
@@ -124,12 +112,6 @@ let m_shed =
 let m_connections =
   Telemetry.Metrics.counter ~help:"Connections accepted."
     "bdprintd_connections_total"
-
-let m_cache_skips =
-  Telemetry.Metrics.counter
-    ~help:"Memoization skipped: the conversion completed faster than \
-           memo_min_us, so recomputing is cheaper than caching."
-    "bdprintd_cache_skips_total"
 
 let m_proto_errors =
   Telemetry.Metrics.counter
@@ -289,7 +271,7 @@ let shed_overload c ~deadline_ms:d ~projected =
   Wire.Shed
     { reason = "overload"; retry_after_ms = Some (int_of_float (ceil hint)) }
 
-(* One conversion request, through shedding, cache, supervisor and
+(* One conversion request, through shedding, supervisor and
    accounting.  Returns the reply to write plus whether the request
    holds an admission slot; the caller must {!release} the slot only
    AFTER writing the reply — drain's in-flight wait keys off it, and
@@ -305,109 +287,68 @@ let convert_one t ~deadline_ms ~tid input : Wire.reply * bool =
     Mutex.unlock c.m;
     (reply, false)
   end
-  else begin
+  else if c.in_flight >= t.cfg.admission_capacity then begin
+    let reply = shed_full t c in
     Mutex.unlock c.m;
-    let mt0 = Telemetry.Tracing.span_of tid in
-    match Option.bind t.memo (fun memo -> Memo.find memo input) with
-    | Some out ->
-      Telemetry.Tracing.emit ~note:"hit" ~tid Telemetry.Tracing.Memo_lookup mt0;
-      Mutex.lock c.m;
-      c.n_ok <- c.n_ok + 1;
-      c.n_cache_hits <- c.n_cache_hits + 1;
+    (reply, false)
+  end
+  else begin
+    (* adaptive admission: shed when the projected queue wait alone
+       already exceeds the request's deadline — converting would only
+       burn a worker on a reply that arrives dead *)
+    let projected = projected_wait_ms t c in
+    let overloaded =
+      match deadline_ms with
+      | Some d when projected > float d -> Some d
+      | Some _ | None -> None
+    in
+    match overloaded with
+    | Some d ->
+      let reply = shed_overload c ~deadline_ms:d ~projected in
       Mutex.unlock c.m;
-      (Wire.Converted out, false)
+      (reply, false)
     | None ->
-      Telemetry.Tracing.emit ~note:"miss" ~tid Telemetry.Tracing.Memo_lookup mt0;
-      Mutex.lock c.m;
-      let projected = projected_wait_ms t c in
-      if c.phase <> Running then begin
-        (* drain began between the two checks: still shed explicitly *)
+    c.in_flight <- c.in_flight + 1;
+    let seq = c.next_seq in
+    c.next_seq <- seq + 1;
+    let w = { wm = Mutex.create (); wc = Condition.create (); result = None } in
+    Hashtbl.replace c.pending seq w;
+    Mutex.unlock c.m;
+    if Telemetry.Flight.enabled () then
+      Telemetry.Flight.record ~req:seq ~kind:"admit" input;
+    let reply =
+      match Supervisor.submit t.sup ?deadline_ms ~tid ~lineno:seq input with
+      | () ->
+        Mutex.lock w.wm;
+        let r = await w in
+        Mutex.unlock w.wm;
+        (match r.Supervisor.outcome with
+        | Supervisor.Done out ->
+          Mutex.lock c.m;
+          c.n_ok <- c.n_ok + 1;
+          Mutex.unlock c.m;
+          Wire.Converted out
+        | Supervisor.Degraded out ->
+          Mutex.lock c.m;
+          c.n_deg <- c.n_deg + 1;
+          Mutex.unlock c.m;
+          Wire.Degraded out
+        | Supervisor.Failed e ->
+          Mutex.lock c.m;
+          c.n_failed <- c.n_failed + 1;
+          Mutex.unlock c.m;
+          Wire.Failed { cls = Error.category e; detail = Error.to_string e })
+      | exception _ ->
+        (* the supervisor refused the submission (can only happen if it
+           was shut down under us, which drain's in-flight wait rules
+           out — defensive, not expected) *)
+        Mutex.lock c.m;
+        Hashtbl.remove c.pending seq;
         let reply = shed_drain c in
         Mutex.unlock c.m;
-        (reply, false)
-      end
-      else if c.in_flight >= t.cfg.admission_capacity then begin
-        let reply = shed_full t c in
-        Mutex.unlock c.m;
-        (reply, false)
-      end
-      else begin
-        (* adaptive admission: shed when the projected queue wait alone
-           already exceeds the request's deadline — converting would
-           only burn a worker on a reply that arrives dead *)
-        let overloaded =
-          match deadline_ms with
-          | Some d when projected > float d -> Some d
-          | Some _ | None -> None
-        in
-        match overloaded with
-        | Some d ->
-          let reply = shed_overload c ~deadline_ms:d ~projected in
-          Mutex.unlock c.m;
-          (reply, false)
-        | None ->
-        c.in_flight <- c.in_flight + 1;
-        let seq = c.next_seq in
-        c.next_seq <- seq + 1;
-        let w = { wm = Mutex.create (); wc = Condition.create (); result = None } in
-        Hashtbl.replace c.pending seq w;
-        Mutex.unlock c.m;
-        if Telemetry.Flight.enabled () then
-          Telemetry.Flight.record ~req:seq ~kind:"admit" input;
-        let reply =
-          let ct0 = Unix.gettimeofday () in
-          match Supervisor.submit t.sup ?deadline_ms ~tid ~lineno:seq input with
-          | () ->
-            Mutex.lock w.wm;
-            let r = await w in
-            Mutex.unlock w.wm;
-            (match r.Supervisor.outcome with
-            | Supervisor.Done out ->
-              (* Requests the table fast path answers in ~1 us are
-                 cheaper to recompute than to cache (a memo insert costs
-                 a hash, a mutex and eviction pressure on genuinely slow
-                 entries), so sub-threshold conversions skip
-                 memoization.  The clock starts at submit, so queue wait
-                 counts: under load everything memoizes again, which is
-                 exactly when the cache pays. *)
-              let skip =
-                Option.is_some t.memo
-                && t.cfg.memo_min_us > 0.
-                && (Unix.gettimeofday () -. ct0) *. 1e6 < t.cfg.memo_min_us
-              in
-              if skip then begin
-                if Telemetry.Metrics.enabled () then
-                  Telemetry.Metrics.incr m_cache_skips
-              end
-              else Option.iter (fun memo -> Memo.add memo input out) t.memo;
-              Mutex.lock c.m;
-              c.n_ok <- c.n_ok + 1;
-              if skip then c.n_cache_skips <- c.n_cache_skips + 1;
-              Mutex.unlock c.m;
-              Wire.Converted out
-            | Supervisor.Degraded out ->
-              Mutex.lock c.m;
-              c.n_deg <- c.n_deg + 1;
-              Mutex.unlock c.m;
-              Wire.Degraded out
-            | Supervisor.Failed e ->
-              Mutex.lock c.m;
-              c.n_failed <- c.n_failed + 1;
-              Mutex.unlock c.m;
-              Wire.Failed
-                { cls = Error.category e; detail = Error.to_string e })
-          | exception _ ->
-            (* the supervisor refused the submission (can only happen if
-               it was shut down under us, which drain's in-flight wait
-               rules out — defensive, not expected) *)
-            Mutex.lock c.m;
-            Hashtbl.remove c.pending seq;
-            let reply = shed_drain c in
-            Mutex.unlock c.m;
-            reply
-        in
-        (reply, true)
-      end
+        reply
+    in
+    (reply, true)
   end
 
 let release_admission t =
@@ -419,8 +360,8 @@ let release_admission t =
 
 (* Latency is measured unconditionally: beyond the (gated) histogram it
    feeds the admission controller's EWMA, which must stay live with
-   telemetry off.  Only admitted requests update the EWMA — sheds and
-   cache hits say nothing about service time. *)
+   telemetry off.  Only admitted requests update the EWMA — sheds say
+   nothing about service time. *)
 let ewma_alpha = 0.2
 
 let timed_convert t ~deadline_ms ~tid input =
@@ -455,19 +396,6 @@ let write_conv_reply t fd ~tid (reply, admitted) =
 
 (* {2 Statistics} *)
 
-let empty_cache_stats =
-  Memo.
-    {
-      hits = 0;
-      misses = 0;
-      entries = 0;
-      evictions = 0;
-      insertions = 0;
-      replacements = 0;
-      shards = 0;
-      capacity = 0;
-    }
-
 let stats t =
   let c = t.core in
   Mutex.lock c.m;
@@ -478,15 +406,12 @@ let stats t =
       active_connections = c.conns_active;
       requests = c.n_requests;
       replies_ok = c.n_ok;
-      cache_hits = c.n_cache_hits;
-      cache_skips = c.n_cache_skips;
       replies_degraded = c.n_deg;
       replies_failed = c.n_failed;
       shed_queue_full = c.n_shed_full;
       shed_overload = c.n_shed_overload;
       shed_draining = c.n_shed_drain;
       proto_errors = c.n_proto;
-      cache = empty_cache_stats;
       supervisor = Supervisor.stats t.sup;
     }
   in
@@ -494,15 +419,7 @@ let stats t =
   let supervisor =
     match final with Some s -> s | None -> Supervisor.stats t.sup
   in
-  let cache =
-    match t.memo with Some memo -> Memo.stats memo | None -> empty_cache_stats
-  in
-  { partial with cache; supervisor }
-
-(* Memo hit rate over all finds so far; 0. before any traffic. *)
-let hit_rate (cache : Memo.stats) =
-  let total = cache.Memo.hits + cache.Memo.misses in
-  if total = 0 then 0. else float cache.Memo.hits /. float total
+  { partial with supervisor }
 
 let uptime_s t = Unix.gettimeofday () -. t.started
 
@@ -517,19 +434,12 @@ let stats_json t =
   field "active_connections" s.active_connections;
   field "requests" s.requests;
   field "replies_ok" s.replies_ok;
-  field "cache_hits" s.cache_hits;
   field "replies_degraded" s.replies_degraded;
   field "replies_failed" s.replies_failed;
   field "shed_queue_full" s.shed_queue_full;
   field "shed_overload" s.shed_overload;
   field "shed_draining" s.shed_draining;
   field "proto_errors" s.proto_errors;
-  field "cache_skips" s.cache_skips;
-  field "cache_entries" s.cache.Memo.entries;
-  field "cache_misses" s.cache.Memo.misses;
-  field "cache_evictions" s.cache.Memo.evictions;
-  field "cache_capacity" s.cache.Memo.capacity;
-  Printf.bprintf b "\"cache_hit_rate\":%.3f," (hit_rate s.cache);
   field "sup_submitted" s.supervisor.Supervisor.submitted;
   field "sup_completed" s.supervisor.Supervisor.completed;
   field "sup_degraded" s.supervisor.Supervisor.degraded;
@@ -554,18 +464,15 @@ let proto_error t fd reason =
   if Telemetry.Metrics.enabled () then Telemetry.Metrics.incr m_proto_errors;
   write_all fd (Wire.render_reply (Wire.Failed { cls = "proto"; detail = reason }))
 
-(* HEALTHZ attributes: uptime, version, watchdog wedge count and memo
-   hit rate — enough for a probe (or an operator with netcat) to see a
-   daemon's identity and recent health in one line.  Old clients parse
+(* HEALTHZ attributes: uptime, version and watchdog wedge count —
+   enough for a probe (or an operator with netcat) to see a daemon's
+   identity and recent health in one line.  Old clients parse
    only the leading READY/DRAINING tag and ignore the rest. *)
 let health_info t =
   let sup = Supervisor.stats t.sup in
-  let cache =
-    match t.memo with Some memo -> Memo.stats memo | None -> empty_cache_stats
-  in
-  Printf.sprintf "uptime-s=%d version=%s wedges=%d memo-hit-rate=%.3f"
+  Printf.sprintf "uptime-s=%d version=%s wedges=%d"
     (int_of_float (uptime_s t))
-    version sup.Supervisor.wedges (hit_rate cache)
+    version sup.Supervisor.wedges
 
 (* The trace id a conversion runs under: the wire TID when the client
    is tracing (so both processes' spans share a track), else a locally
@@ -780,8 +687,6 @@ let start ?(config = default_config) ~convert spec =
         conns_active = 0;
         n_requests = 0;
         n_ok = 0;
-        n_cache_hits = 0;
-        n_cache_skips = 0;
         n_deg = 0;
         n_failed = 0;
         n_shed_full = 0;
@@ -798,13 +703,6 @@ let start ?(config = default_config) ~convert spec =
         ?watchdog:config.watchdog
         ~emit:(route_reply core) convert
     in
-    let memo =
-      if config.cache_capacity > 0 then
-        Some
-          (Memo.create ~shards:(max 1 config.cache_shards)
-             ~capacity:config.cache_capacity ())
-      else None
-    in
     let t =
       {
         cfg = config;
@@ -814,7 +712,6 @@ let start ?(config = default_config) ~convert spec =
         addr_str;
         tcp_port;
         sup;
-        memo;
         started = Unix.gettimeofday ();
         stop = Atomic.make false;
         accept_thread = None;

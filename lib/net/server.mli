@@ -36,9 +36,6 @@
        [service.worker-kill] fault) are detected by the supervisor,
        answered through the breaker-backed [%.17g] degraded fallback and
        healed by automatic respawn — the daemon itself never dies.}
-    {- {e Hot-value cache}: a domain-sharded bounded memo table
-       ({!Memo}) in front of the pipeline; only exact pipeline outputs
-       are cached, so hits are always correct.}
     {- {e Graceful drain}: {!drain} (wired to SIGTERM/SIGINT by
        [bdprintd]) stops accepting, answers new conversion requests with
        [SHED draining], finishes every admitted request, shuts the
@@ -52,16 +49,6 @@ type listen =
 type config = {
   jobs : int;  (** supervisor worker domains *)
   admission_capacity : int;  (** max in-flight conversion requests *)
-  cache_capacity : int;  (** total memo entries; 0 disables the cache *)
-  cache_shards : int;
-  memo_min_us : float;
-      (** conversions that complete faster than this (microseconds,
-          measured from supervisor submit to completion) skip
-          memoization — the table fast path answers in ~1 us, cheaper
-          to recompute than to cache, while exact-kernel conversions
-          take tens of us (see BENCH_kernel.json) and stay memoized.
-          [0.] memoizes everything; bdprintd defaults to the measured
-          5 us cutover between the two populations. *)
   default_deadline_ms : int option;
       (** deadline applied until a connection overrides it *)
   retry : Service.Supervisor.retry_policy;
@@ -71,20 +58,14 @@ type config = {
 }
 
 val default_config : config
-(** 2 jobs, 256 admissions, 4096-entry cache in 8 shards, memoize
-    everything ([memo_min_us = 0.]), no default deadline, default
-    supervisor retry/breaker/watchdog policies. *)
+(** 2 jobs, 256 admissions, no default deadline, default supervisor
+    retry/breaker/watchdog policies. *)
 
 type stats = {
   connections : int;  (** accepted since start *)
   active_connections : int;
   requests : int;  (** conversion requests (CONV + batch items) *)
-  replies_ok : int;  (** includes cache hits *)
-  cache_hits : int;
-  cache_skips : int;
-      (** memoizations skipped because the conversion beat
-          [memo_min_us]; also the gated
-          [bdprintd_cache_skips_total] counter *)
+  replies_ok : int;
   replies_degraded : int;
   replies_failed : int;
   shed_queue_full : int;
@@ -92,7 +73,6 @@ type stats = {
       (** adaptive-admission sheds: projected wait exceeded the deadline *)
   shed_draining : int;
   proto_errors : int;  (** malformed frames answered [ERR proto ...] *)
-  cache : Memo.stats;
   supervisor : Service.Supervisor.stats;
 }
 

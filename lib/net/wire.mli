@@ -57,9 +57,8 @@ type reply =
   | Pong
   | Ready of string
       (** [READY [<attrs>]]: healthy.  [attrs] is a space-separated
-          [key=value] list — [uptime-s], [version], [wedges],
-          [memo-hit-rate] — empty on old servers; clients must ignore
-          keys they do not know. *)
+          [key=value] list — [uptime-s], [version], [wedges] — empty
+          on old servers; clients must ignore keys they do not know. *)
   | Draining of string  (** [DRAINING [<attrs>]]: shutting down *)
   | Payload of { verb : string; body : string }
       (** [<verb> <byte-count>] then the body bytes ([STATS],

@@ -2,13 +2,12 @@
 
    A conversion flows parse -> boundaries -> scale -> generate ->
    render, and in service deployments additionally crosses client
-   attempts, the wire, the admission queue, a worker domain, and the
-   memo cache; each stage is timed into a per-stage nanosecond
-   histogram.  Timing every conversion would cost two clock reads per
-   stage — far more than the 2% overhead budget on the sub-microsecond
-   free-format hot loop — so spans are *sampled*: each domain keeps a
-   countdown and only every Nth span (default 32) reads the clock.
-   The histograms therefore describe the latency distribution, not an
+   attempts, the wire, the admission queue and a worker domain; each
+   stage is timed into a per-stage nanosecond histogram.  Timing every
+   conversion would cost two clock reads per stage — far more than the
+   2% overhead budget on the sub-microsecond free-format hot loop — so
+   spans are *sampled*: each domain keeps a countdown and only every
+   Nth span (default 32) reads the clock.  The histograms therefore describe the latency distribution, not an
    exact census; the exact counters live in Metrics.
 
    This module is also the bridge into request tracing (Tracing): when
@@ -34,7 +33,6 @@ type stage = Tracing.stage =
   | Wire_write
   | Queue_wait
   | Worker_service
-  | Memo_lookup
   | Request
   | Fastpath
 
@@ -55,9 +53,8 @@ let index = function
   | Wire_write -> 9
   | Queue_wait -> 10
   | Worker_service -> 11
-  | Memo_lookup -> 12
-  | Request -> 13
-  | Fastpath -> 14
+  | Request -> 12
+  | Fastpath -> 13
 
 (* Log-linear nanosecond bounds, 100ns to 10ms: the pipeline stages
    sit under a microsecond, a queued service round trip reaches

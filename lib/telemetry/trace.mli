@@ -26,7 +26,6 @@ type stage = Tracing.stage =
   | Wire_write
   | Queue_wait
   | Worker_service
-  | Memo_lookup
   | Request
   | Fastpath
 

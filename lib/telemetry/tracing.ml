@@ -38,14 +38,13 @@ type stage =
   | Wire_write
   | Queue_wait
   | Worker_service
-  | Memo_lookup
   | Request
   | Fastpath
 
 let all =
   [ Parse; Boundaries; Scale; Generate; Render; Client_attempt;
     Client_backoff; Client_hedge; Wire_read; Wire_write; Queue_wait;
-    Worker_service; Memo_lookup; Request; Fastpath ]
+    Worker_service; Request; Fastpath ]
 
 let stage_name = function
   | Parse -> "parse"
@@ -60,7 +59,6 @@ let stage_name = function
   | Wire_write -> "wire-write"
   | Queue_wait -> "queue-wait"
   | Worker_service -> "worker-service"
-  | Memo_lookup -> "memo-lookup"
   | Request -> "request"
   | Fastpath -> "fastpath"
 

@@ -31,7 +31,6 @@ type stage =
   | Wire_write
   | Queue_wait
   | Worker_service
-  | Memo_lookup
   | Request
   | Fastpath
 

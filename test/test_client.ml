@@ -268,7 +268,6 @@ let test_shed_retry_after_honored () =
       Server.default_config with
       Server.jobs = 1;
       admission_capacity = 1;
-      cache_capacity = 0;
     }
   in
   let server = start_server ~config ~convert:slow () in
@@ -315,8 +314,7 @@ let test_client_deadline () =
     Unix.sleepf 0.5;
     convert_real input
   in
-  let config = { Server.default_config with Server.cache_capacity = 0 } in
-  let server = start_server ~config ~convert:slow () in
+  let server = start_server ~convert:slow () in
   Fun.protect ~finally:(fun () -> stop_server server) @@ fun () ->
   let c = Client.create ~config:quick_config [ server_addr server ] in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
@@ -336,11 +334,7 @@ let test_hedged_requests () =
     convert_real input
   in
   let fast = start_server () in
-  let lame =
-    start_server
-      ~config:{ Server.default_config with Server.cache_capacity = 0 }
-      ~convert:slow ()
-  in
+  let lame = start_server ~convert:slow () in
   Fun.protect
     ~finally:(fun () ->
       stop_server lame;
@@ -543,7 +537,7 @@ let test_chaos_through_client () =
   in
   let vandal_port, stop_vandal = start_vandal () in
   let server_config =
-    { Server.default_config with Server.jobs = 2; cache_capacity = 512 }
+    { Server.default_config with Server.jobs = 2 }
   in
   let server_a = ref (start_server ~config:server_config ()) in
   let port_a = Option.get (Server.port !server_a) in

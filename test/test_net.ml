@@ -1,13 +1,12 @@
 (* Tests for the networked conversion daemon (lib/net): the Wire
-   protocol grammar, the sharded Memo cache (bounds under concurrency),
-   and the Server engine end-to-end over real TCP sockets — verbs,
-   explicit load shedding, protocol-error resynchronisation, graceful
+   protocol grammar and the Server engine end-to-end over real TCP
+   sockets — verbs, explicit load shedding (repeated values included),
+   protocol-error resynchronisation, graceful
    drain (no accepted request lost), and a chaos run with the network
    fault points and worker-kill armed, verifying zero wrong
    conversions. *)
 
 module Wire = Net.Wire
-module Memo = Net.Memo
 module Server = Net.Server
 module Error = Robust.Error
 module Faults = Robust.Faults
@@ -115,107 +114,6 @@ let test_wire_replies () =
   Alcotest.(check (option int)) "payload len" (Some 12)
     (Wire.payload_length "STATS 12");
   Alcotest.(check (option int)) "not payload" None (Wire.payload_length "OK 1")
-
-(* {2 Memo} *)
-
-let test_memo_basic () =
-  let m = Memo.create ~shards:2 ~capacity:8 () in
-  Alcotest.(check (option string)) "miss" None (Memo.find m "a");
-  Memo.add m "a" "1";
-  Alcotest.(check (option string)) "hit" (Some "1") (Memo.find m "a");
-  Memo.add m "a" "2";
-  Alcotest.(check (option string)) "replace" (Some "2") (Memo.find m "a");
-  let s = Memo.stats m in
-  Alcotest.(check int) "hits" 2 s.Memo.hits;
-  Alcotest.(check int) "misses" 1 s.Memo.misses;
-  Alcotest.(check int) "replace does not grow" 1 s.Memo.entries;
-  (* overflow each shard: entries stay bounded, evictions counted *)
-  for i = 0 to 99 do
-    Memo.add m (string_of_int i) (string_of_int i)
-  done;
-  let s = Memo.stats m in
-  Alcotest.(check bool) "bounded" true (s.Memo.entries <= s.Memo.capacity);
-  Alcotest.(check bool) "evicted" true (s.Memo.evictions > 0)
-
-let test_memo_concurrent () =
-  let m = Memo.create ~shards:4 ~capacity:64 () in
-  let worker seed () =
-    let st = Random.State.make [| seed |] in
-    for _ = 1 to 20_000 do
-      let k = string_of_int (Random.State.int st 500) in
-      match Memo.find m k with
-      | Some _ -> ()
-      | None -> Memo.add m k k
-    done
-  in
-  let ds = List.init 4 (fun i -> Domain.spawn (worker i)) in
-  List.iter Domain.join ds;
-  let s = Memo.stats m in
-  Alcotest.(check bool) "bounded under concurrency" true
-    (s.Memo.entries <= s.Memo.capacity);
-  Alcotest.(check int) "accounting closes" (s.Memo.hits + s.Memo.misses) 80_000;
-  (* every cached value is the exact one inserted for its key *)
-  for i = 0 to 499 do
-    let k = string_of_int i in
-    match Memo.find m k with
-    | Some v -> Alcotest.(check string) "value intact" k v
-    | None -> ()
-  done
-
-(* Invariants under 8-domain contention: the per-shard bound must hold
-   at every moment (sampled live by a prowler domain while writers
-   hammer the cache), and once writers are quiescent the counters must
-   reconcile exactly: finds = hits + misses, adds = insertions +
-   replacements, insertions = entries + evictions. *)
-let test_memo_invariants_concurrent () =
-  let m = Memo.create ~shards:4 ~capacity:32 () in
-  let cap = Memo.per_shard_capacity m in
-  let writers = 8 in
-  let per_writer = 25_000 in
-  let finds = Atomic.make 0 in
-  let adds = Atomic.make 0 in
-  let stop = Atomic.make false in
-  let overflow_seen = Atomic.make 0 in
-  let prowler =
-    Domain.spawn (fun () ->
-        while not (Atomic.get stop) do
-          Array.iter
-            (fun n -> if n > cap then Atomic.incr overflow_seen)
-            (Memo.shard_entries m)
-        done)
-  in
-  let worker seed () =
-    let st = Random.State.make [| seed; 0xca5e |] in
-    for _ = 1 to per_writer do
-      (* mixed workload: ~half repeats (hits + replacements), ~half a
-         wide keyspace (misses + insertions + evictions) *)
-      let k = string_of_int (Random.State.int st 2_000) in
-      Atomic.incr finds;
-      match Memo.find m k with
-      | Some _ ->
-        if Random.State.bool st then begin
-          Atomic.incr adds;
-          Memo.add m k (k ^ "'")
-        end
-      | None ->
-        Atomic.incr adds;
-        Memo.add m k k
-    done
-  in
-  let ds = List.init writers (fun i -> Domain.spawn (worker i)) in
-  List.iter Domain.join ds;
-  Atomic.set stop true;
-  Domain.join prowler;
-  Alcotest.(check int) "per-shard bound held at every sample" 0
-    (Atomic.get overflow_seen);
-  let s = Memo.stats m in
-  Alcotest.(check int) "finds reconcile" (Atomic.get finds)
-    (s.Memo.hits + s.Memo.misses);
-  Alcotest.(check int) "adds reconcile" (Atomic.get adds)
-    (s.Memo.insertions + s.Memo.replacements);
-  Alcotest.(check int) "insertions reconcile" s.Memo.insertions
-    (s.Memo.entries + s.Memo.evictions);
-  Alcotest.(check int) "full at quiescence" (4 * cap) s.Memo.entries
 
 (* {2 Server client harness} *)
 
@@ -334,12 +232,12 @@ let test_server_verbs () =
                    String.length p > String.length key
                    && String.sub p 0 (String.length key + 1) = key ^ "=")
                  (String.split_on_char ' ' attrs)))
-          [ "uptime-s"; "version"; "wedges"; "memo-hit-rate" ]
+          [ "uptime-s"; "version"; "wedges" ]
       | r -> Alcotest.failf "expected READY, got %s" (Wire.render_reply r));
       send c "CONV 0.1\n";
       Alcotest.(check bool) "conv" true (recv_reply c = Wire.Converted "0.1");
       send c "CONV 0.1\n";
-      Alcotest.(check bool) "conv cached" true
+      Alcotest.(check bool) "conv repeat" true
         (recv_reply c = Wire.Converted "0.1");
       send c "CONV 1e23\n";
       Alcotest.(check bool) "conv sci" true (recv_reply c = Wire.Converted "1e23");
@@ -374,7 +272,6 @@ let test_server_verbs () =
       close c;
       let s = Server.stats server in
       Alcotest.(check int) "requests" 7 s.Server.requests;
-      Alcotest.(check int) "cache hit" 1 s.Server.cache_hits;
       Alcotest.(check int) "proto clean" 0 s.Server.proto_errors)
 
 let test_server_proto_resync () =
@@ -440,7 +337,6 @@ let test_server_overload_shed () =
       Server.default_config with
       Server.jobs = 1;
       admission_capacity = 64;
-      cache_capacity = 0;
     }
   in
   with_server ~config ~convert:slow (fun server port ->
@@ -467,33 +363,63 @@ let test_server_overload_shed () =
       Alcotest.(check bool) "overload shed counted" true
         (s.Server.shed_overload >= 1))
 
-(* Memoization skip: with memo_min_us set above any realistic service
-   time, every conversion is "too fast to be worth caching" — repeats
-   recompute (no cache hits), the skip counter advances, and the STATS
-   dump carries the new field.  The inverse (memo_min_us = 0 memoizes
-   everything) is the library default every other test runs under. *)
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  go 0
-
-let test_server_memo_skip () =
-  let config = { Server.default_config with Server.memo_min_us = 1e9 } in
-  with_server ~config (fun server port ->
-      let c = connect port in
-      send c "CONV 0.1\nCONV 0.1\n";
-      Alcotest.(check bool) "a" true (recv_reply c = Wire.Converted "0.1");
-      Alcotest.(check bool) "b" true (recv_reply c = Wire.Converted "0.1");
-      send c "STATS\n";
-      (match recv_reply c with
-      | Wire.Payload { verb = "STATS"; body } ->
-        Alcotest.(check bool) "stats carries cache_skips" true
-          (contains body "\"cache_skips\":2")
-      | r -> Alcotest.failf "bad STATS: %s" (Wire.render_reply r));
-      close c;
-      let s = Server.stats server in
-      Alcotest.(check int) "no cache hits" 0 s.Server.cache_hits;
-      Alcotest.(check int) "both skipped" 2 s.Server.cache_skips)
+(* Repeated values get no shortcut: every CONV goes through admission
+   and the supervisor.  A value answered once is converted again on
+   repeat, and with the only admission slot held by a slow request a
+   repeat is shed like any other request. *)
+let test_server_repeats_are_admitted () =
+  let conversions = Atomic.make 0 in
+  let started = Atomic.make false and release = Atomic.make false in
+  let convert input =
+    Atomic.incr conversions;
+    if input = "0.5" then begin
+      Atomic.set started true;
+      while not (Atomic.get release) do
+        Unix.sleepf 0.001
+      done
+    end;
+    convert_real input
+  in
+  let config =
+    { Server.default_config with Server.jobs = 1; admission_capacity = 1 }
+  in
+  with_server ~config ~convert (fun server port ->
+      let a = connect port in
+      send a "CONV 0.25
+";
+      Alcotest.(check bool) "first" true (recv_reply a = Wire.Converted "0.25");
+      send a "CONV 0.25
+";
+      Alcotest.(check bool) "repeat" true (recv_reply a = Wire.Converted "0.25");
+      Alcotest.(check int) "repeat converted again" 2 (Atomic.get conversions);
+      Alcotest.(check int) "both submitted" 2
+        (Server.stats server).Server.supervisor.Service.Supervisor.submitted;
+      let b = connect port in
+      Fun.protect
+        ~finally:(fun () ->
+          Atomic.set release true;
+          close a;
+          close b)
+        (fun () ->
+          (* hold the single admission slot... *)
+          send a "CONV 0.5
+";
+          while not (Atomic.get started) do
+            Unix.sleepf 0.001
+          done;
+          (* ...and an already-answered value is shed, not served *)
+          send b "CONV 0.25
+";
+          (match recv_reply b with
+          | Wire.Shed { reason = "queue-full"; _ } -> ()
+          | r ->
+            Alcotest.failf "expected SHED queue-full, got %s"
+              (Wire.render_reply r));
+          Atomic.set release true;
+          Alcotest.(check bool) "slow request converts" true
+            (recv_reply a = Wire.Converted "0.5"));
+      Alcotest.(check int) "shed counted" 1
+        (Server.stats server).Server.shed_queue_full)
 
 (* Watchdog: a wedged worker (alive but stalled far past the request's
    deadline) must not capture its request forever — the watchdog answers
@@ -511,7 +437,6 @@ let test_server_worker_wedge () =
     {
       Server.default_config with
       Server.jobs = 1;
-      cache_capacity = 0;
       watchdog =
         Some
           {
@@ -554,7 +479,6 @@ let test_server_shedding () =
       Server.default_config with
       Server.jobs = 1;
       admission_capacity = 1;
-      cache_capacity = 0;
     }
   in
   with_server ~config ~convert:slow (fun server port ->
@@ -594,7 +518,7 @@ let test_server_drain_loses_nothing () =
     convert_real input
   in
   let config =
-    { Server.default_config with Server.jobs = 2; cache_capacity = 0 }
+    { Server.default_config with Server.jobs = 2 }
   in
   with_server ~config ~convert:slowish (fun server port ->
       let n_threads = 4 in
@@ -660,13 +584,12 @@ let test_server_chaos () =
       Server.default_config with
       Server.jobs = 3;
       admission_capacity = 64;
-      cache_capacity = 512;
     }
   in
   with_server ~config (fun server port ->
-      (* hot values exercise the cache; random doubles exercise the
-         pipeline; expected outputs are computed fault-free in this
-         thread (the armed points only fire in workers / write paths) *)
+      (* a quarter hot repeats, the rest random doubles; expected
+         outputs are computed fault-free in this thread (the armed
+         points only fire in workers / write paths) *)
       let hot = [| "0"; "1"; "0.5"; "0.1"; "1e23"; "-2.5" |] in
       let st = Random.State.make [| Faults.seed; 0xbdc0de; requests |] in
       let fresh_input () =
@@ -761,8 +684,7 @@ let test_server_deadline () =
     Robust.Budget.check_deadline ();
     convert_real input
   in
-  let config = { Server.default_config with Server.cache_capacity = 0 } in
-  with_server ~config ~convert:slow (fun _server port ->
+  with_server ~convert:slow (fun _server port ->
       let c = connect port in
       send c "DEADLINE 1\nCONV 0.1\n";
       Alcotest.(check bool) "ack" true (recv_reply c = Wire.Converted "deadline=1");
@@ -784,13 +706,6 @@ let () =
           Alcotest.test_case "requests" `Quick test_wire_requests;
           Alcotest.test_case "replies" `Quick test_wire_replies;
         ] );
-      ( "memo",
-        [
-          Alcotest.test_case "basic" `Quick test_memo_basic;
-          Alcotest.test_case "concurrent" `Quick test_memo_concurrent;
-          Alcotest.test_case "invariants-8-domains" `Quick
-            test_memo_invariants_concurrent;
-        ] );
       ( "server",
         [
           Alcotest.test_case "verbs" `Quick test_server_verbs;
@@ -799,7 +714,8 @@ let () =
             test_server_pipelined_proto_resync;
           Alcotest.test_case "shedding" `Quick test_server_shedding;
           Alcotest.test_case "overload-shed" `Quick test_server_overload_shed;
-          Alcotest.test_case "memo-skip" `Quick test_server_memo_skip;
+          Alcotest.test_case "repeats-are-admitted" `Quick
+            test_server_repeats_are_admitted;
           Alcotest.test_case "worker-wedge" `Quick test_server_worker_wedge;
           Alcotest.test_case "deadline" `Quick test_server_deadline;
           Alcotest.test_case "drain-loses-nothing" `Quick
