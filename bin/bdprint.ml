@@ -225,8 +225,9 @@ let trace_file =
           "Enable request tracing and write the sampled spans as Chrome \
            trace-event JSON to $(docv) on exit, loadable in \
            chrome://tracing or Perfetto (ui.perfetto.dev).  One request \
-           in 64 is traced; BDPRINT_TRACE_SAMPLE=N overrides the \
-           interval (1 traces every request).  Each traced request is \
+           in 64 is traced; BDPRINT_TRACE_SAMPLE=N (an integer >= 1) \
+           overrides the interval for traces and stage histograms alike \
+           (1 samples every request).  Each traced request is \
            its own thread track, so its spans — parse, scale, generate, \
            render, and with $(b,--connect) or $(b,--jobs) the \
            client-attempt, backoff, queue-wait and worker spans — nest \
@@ -238,12 +239,6 @@ let install_trace = function
   | None -> ()
   | Some file ->
     Telemetry.Tracing.set_enabled true;
-    (match Sys.getenv_opt "BDPRINT_TRACE_SAMPLE" with
-    | Some n -> (
-      match int_of_string_opt n with
-      | Some n when n >= 1 -> Telemetry.Tracing.set_sample_every n
-      | _ -> ())
-    | None -> ());
     at_exit (fun () ->
         try
           let oc = open_out file in
@@ -279,7 +274,7 @@ let vet_request request =
   | None -> None
 
 let convert_one ~base ~mode ~fmt ~strategy ~notation ~request ~hex_out input =
-  let t0 = Telemetry.Trace.start () in
+  let t0 = Telemetry.Tracing.start () in
   let parsed =
     if is_hex_literal input then Reader.Hex.read ~mode fmt input
     else if
@@ -291,7 +286,7 @@ let convert_one ~base ~mode ~fmt ~strategy ~notation ~request ~hex_out input =
     then Result.map Fp.Ieee.decompose (Reader.Fast.read input)
     else Reader.read ~mode fmt input
   in
-  Telemetry.Trace.finish Telemetry.Trace.Parse t0;
+  Telemetry.Tracing.finish Telemetry.Tracing.Parse t0;
   match parsed with
   | Error _ as e -> e
   | Ok value -> (
@@ -603,6 +598,16 @@ let connect_client ~local ~hedge_ms ~show_stats spec =
 let run base mode fmt strategy notation digits places hex_out use_stdin
     max_errors jobs show_stats deadline_ms metrics_file connect hedge_ms
     trace numbers =
+  (* one rate samples both the stage histograms and the traces *)
+  match
+    if show_stats || metrics_file <> None || trace <> None then
+      Telemetry.Tracing.sample_every_from_env "BDPRINT_TRACE_SAMPLE"
+    else Result.Ok ()
+  with
+  | Result.Error detail ->
+    `Error
+      (false, Error.to_string (Error.range ~what:"BDPRINT_TRACE_SAMPLE" detail))
+  | Result.Ok () ->
   if base < 2 || base > 36 then
     `Error
       ( false,

@@ -126,7 +126,8 @@ let trace_arg =
           "Enable request tracing and write the sampled spans as Chrome \
            trace-event JSON to $(docv) on drain (loadable in \
            chrome://tracing or Perfetto).  One request in 64 is traced; \
-           BDPRINTD_TRACE_SAMPLE=N overrides the interval.  Clients that \
+           BDPRINTD_TRACE_SAMPLE=N (an integer >= 1) overrides the \
+           interval for traces and stage histograms alike.  Clients that \
            send a TID token tie their spans to the same trace; the TRACE \
            protocol verb exports the live ring without waiting for \
            drain.")
@@ -184,6 +185,14 @@ let print_final_stats (s : Server.stats) =
 
 let run listen jobs admission deadline_ms stuck_ms show_stats metrics_file
     trace_file flight_file =
+  (* one rate samples both the stage histograms and the traces *)
+  match
+    if show_stats || metrics_file <> None || trace_file <> None then
+      Telemetry.Tracing.sample_every_from_env "BDPRINTD_TRACE_SAMPLE"
+    else Result.Ok ()
+  with
+  | Result.Error detail -> `Error (false, "BDPRINTD_TRACE_SAMPLE: " ^ detail)
+  | Result.Ok () ->
   if jobs < 1 then `Error (false, "--jobs must be at least 1")
   else if admission < 1 then `Error (false, "--admission must be at least 1")
   else if (match deadline_ms with Some ms -> ms < 0 | None -> false) then
@@ -191,16 +200,7 @@ let run listen jobs admission deadline_ms stuck_ms show_stats metrics_file
   else if stuck_ms < 0 then `Error (false, "--stuck-ms must be >= 0")
   else begin
     if show_stats || metrics_file <> None then Telemetry.set_enabled true;
-    (match trace_file with
-    | None -> ()
-    | Some _ ->
-      Telemetry.Tracing.set_enabled true;
-      (match Sys.getenv_opt "BDPRINTD_TRACE_SAMPLE" with
-      | Some n -> (
-        match int_of_string_opt n with
-        | Some n when n >= 1 -> Telemetry.Tracing.set_sample_every n
-        | _ -> ())
-      | None -> ()));
+    if trace_file <> None then Telemetry.Tracing.set_enabled true;
     (match flight_file with
     | None -> ()
     | Some file ->

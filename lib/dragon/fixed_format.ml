@@ -158,14 +158,14 @@ let try_fastpath ~base ~mode fmt (v : Value.finite) request =
       in
       if not in_reach then None
       else begin
-        let t0 = Telemetry.Trace.start () in
+        let t0 = Telemetry.Tracing.start () in
         let r =
           Fastpath.convert_fixed ~f ~e:v.e ~mantissa_bits:bits
             ~narrow:(Free_format.fastpath_narrow fmt v f)
             ~high_ok:(Free_format.fastpath_high_ok ~mode f)
             ~est ~relative ~pos
         in
-        Telemetry.Trace.finish Telemetry.Trace.Fastpath t0;
+        Telemetry.Tracing.finish Telemetry.Tracing.Fastpath t0;
         match r with
         | None -> None
         | Some r ->

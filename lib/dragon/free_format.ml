@@ -4,7 +4,7 @@ module Ratio = Bignum.Ratio
 
 type t = { digits : int array; k : int }
 
-module Trace = Telemetry.Trace
+module Tracing = Telemetry.Tracing
 
 (* Shortest-output length per conversion (the paper's "average 15.2
    digits" distribution), recorded at the free-format entry point. *)
@@ -62,13 +62,13 @@ let try_fastpath ~base ~mode ~strategy fmt v =
     | Some f when f > 0 && f < 1 lsl 53 ->
       let bits = Nat.bit_length f_nat in
       let est = Scaling.fast_estimate_b10 ~bits ~e:v.Fp.Value.e in
-      let t0 = Trace.start () in
+      let t0 = Tracing.start () in
       let r =
         Fastpath.convert_shortest ~f ~e:v.Fp.Value.e ~mantissa_bits:bits
           ~narrow:(fastpath_narrow fmt v f) ~high_ok:(fastpath_high_ok ~mode f)
           ~est
       in
-      Trace.finish Trace.Fastpath t0;
+      Tracing.finish Tracing.Fastpath t0;
       r
     | _ -> None
   end
@@ -84,18 +84,18 @@ let convert ?(base = 10) ?(mode = Fp.Rounding.To_nearest_even)
       Telemetry.Metrics.observe h_digits (Array.length digits);
     { digits; k }
   | None ->
-  let t0 = Trace.start () in
+  let t0 = Tracing.start () in
   let bnd = Boundaries.of_finite ~mode fmt v in
-  Trace.finish Trace.Boundaries t0;
-  let t0 = Trace.start () in
+  Tracing.finish Tracing.Boundaries t0;
+  let t0 = Tracing.start () in
   let k, state =
     Scaling.scale strategy ~base ~b:fmt.Fp.Format_spec.b ~f:v.Fp.Value.f
       ~e:v.Fp.Value.e bnd
   in
-  Trace.finish Trace.Scale t0;
-  let t0 = Trace.start () in
+  Tracing.finish Tracing.Scale t0;
+  let t0 = Tracing.start () in
   let digits = Generate.free ~base ~tie state in
-  Trace.finish Trace.Generate t0;
+  Tracing.finish Tracing.Generate t0;
   if Telemetry.Metrics.enabled () then
     Telemetry.Metrics.observe h_digits (Array.length digits);
   { digits; k }

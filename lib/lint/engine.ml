@@ -58,7 +58,8 @@ let analyze_sources ?(manifest = Manifest.empty) ?(stale_check = false) sources
       Rule_alloc.check sink str;
       if Manifest.is_boundary manifest filename then Rule_exn.check sink str;
       if Manifest.in_telemetry_dir manifest filename then
-        Rule_telemetry.check sink str)
+        Rule_telemetry.check sink str;
+      Rule_telemetry.check_span_pairing sink str)
     parsed;
   let g = Callgraph.build parsed in
   Rule_alloc.check_graph sink g;

@@ -8,20 +8,22 @@
 
    Registration ([counter]/[gauge]/[histogram], module-init time) and
    reads ([value]/[gauge_value], snapshot paths) are not recording and
-   are exempt.  [Trace.start]/[Trace.finish] are exempt by
-   construction: [Trace.start] performs the enabled check itself and
-   returns 0 when telemetry is off, which [finish] re-checks.
+   are exempt.  [Tracing]'s span calls are exempt by construction:
+   [start]/[start_of] return 0 unless the request is sampled, which
+   only happens with telemetry on, and [finish]/[finish_of] re-check.
 
    [Flight.record] is recording too: the call is internally gated, but
    its [detail] argument is almost always a [Printf.sprintf] that
    allocates before the gate is consulted, so hot-path sites must wrap
    the whole call in [if Telemetry.Flight.enabled () then ...].
 
-   The family also checks span pairing: a top-level definition that
-   calls [Trace.start] without [Trace.finish] leaks an open span (the
-   stage histogram never observes it), and a [finish] without a [start]
-   observes a token from someone else's clock — both are flagged unless
-   the binding carries [@lint.always_on "reason"].
+   The family also checks span pairing, in every analyzed file rather
+   than only the hot paths: a top-level definition must call
+   [Tracing.start]/[start_of] exactly as many times as
+   [Tracing.finish]/[finish_of].  An extra start leaks an open span (the
+   stage histogram never observes it), and an extra finish closes a
+   token from someone else's clock — both are flagged unless the binding
+   carries [@lint.always_on "reason"].
 
    Deliberately ungated sites — the reader tier counters that back the
    always-available [Reader.Fast.stats] contract — carry
@@ -71,9 +73,9 @@ let advice =
    [@lint.always_on \"<reason>\"]"
 
 (* Span pairing, per top-level value binding.  Purely syntactic and
-   deliberately coarse: a definition that [start]s must also [finish]
-   (any stage, any count) and vice versa.  Helpers that intentionally
-   hold a token across definitions carry [@lint.always_on]. *)
+   deliberately coarse: a definition's span opens (any stage, either
+   form) must balance its closes by count.  Helpers that intentionally
+   hand a token across definitions carry [@lint.always_on]. *)
 let count_spans expr =
   let starts = ref 0 and finishes = ref 0 in
   let scanner =
@@ -84,10 +86,10 @@ let count_spans expr =
         (match e.pexp_desc with
         | Pexp_apply (head, _) -> (
           match Attrs.head_path head with
-          | Some path when List.mem "Trace" path -> (
+          | Some path when List.mem "Tracing" path -> (
             match Attrs.last path with
-            | Some "start" -> incr starts
-            | Some "finish" -> incr finishes
+            | Some ("start" | "start_of") -> incr starts
+            | Some ("finish" | "finish_of") -> incr finishes
             | _ -> ())
           | _ -> ())
         | _ -> ());
@@ -105,16 +107,16 @@ let check_span_pairing (sink : Sink.t) str =
         List.iter
           (fun vb ->
             let starts, finishes = count_spans vb.pvb_expr in
-            if (starts > 0) <> (finishes > 0) then
+            if starts <> finishes then
               if Attrs.has Attrs.always_on vb.pvb_attributes then
                 sink.suppress rule
               else
                 sink.report rule vb.pvb_loc
                   (Printf.sprintf
-                     "unpaired span: %d Trace.start against %d Trace.finish \
-                      in this definition; a started span must be finished \
-                      (or the binding annotated [@lint.always_on \
-                      \"<reason>\"])"
+                     "unpaired span: %d Tracing.start against %d \
+                      Tracing.finish in this definition; every started span \
+                      must be finished once (or the binding annotated \
+                      [@lint.always_on \"<reason>\"])"
                      starts finishes))
           vbs
       | _ -> ())
@@ -171,5 +173,4 @@ let check (sink : Sink.t) str =
         else super#value_binding vb
     end
   in
-  visitor#structure str;
-  check_span_pairing sink str
+  visitor#structure str

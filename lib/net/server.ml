@@ -385,13 +385,13 @@ let timed_convert t ~deadline_ms ~tid input =
    failures to a vanished client release too — the reply was produced
    and delivery attempted, which is all drain can wait for). *)
 let write_conv_reply t fd ~tid (reply, admitted) =
-  let wt0 = Telemetry.Tracing.span_of tid in
+  let wt0 = Telemetry.Tracing.start_of tid in
   if admitted then
     Fun.protect
       ~finally:(fun () -> release_admission t)
       (fun () -> write_all fd (Wire.render_reply reply))
   else write_all fd (Wire.render_reply reply);
-  Telemetry.Tracing.emit ~tid Telemetry.Tracing.Wire_write wt0;
+  Telemetry.Tracing.finish_of ~tid Telemetry.Tracing.Wire_write wt0;
   reply
 
 (* {2 Statistics} *)
@@ -474,9 +474,9 @@ let health_info t =
     (int_of_float (uptime_s t))
     version sup.Supervisor.wedges
 
-(* The trace id a conversion runs under: the wire TID when the client
-   is tracing (so both processes' spans share a track), else a locally
-   sampled id when this daemon traces on its own. *)
+(* The request id a conversion runs under: the wire TID when the client
+   is tracing (so both processes' spans share a track), else this
+   daemon's own sampling decision. *)
 let conv_tid ~wire_tid =
   if wire_tid <> 0 then wire_tid else Telemetry.Tracing.sample ()
 
@@ -484,12 +484,12 @@ let handle_request t fd reader deadline_ms quit req =
   match req with
   | Wire.Conv { input; tid = wire_tid } ->
     let tid = conv_tid ~wire_tid in
-    let rt0 = Telemetry.Tracing.span_of tid in
+    let rt0 = Telemetry.Tracing.start_of tid in
     let (_ : Wire.reply) =
       write_conv_reply t fd ~tid
         (timed_convert t ~deadline_ms:!deadline_ms ~tid input)
     in
-    Telemetry.Tracing.emit ~tid Telemetry.Tracing.Request rt0
+    Telemetry.Tracing.finish_of ~tid Telemetry.Tracing.Request rt0
   | Wire.Batch { count = n; tid = wire_tid } ->
     let max_len = (Budget.get ()).Budget.max_input_length + 64 in
     let ok = ref 0 and failed = ref 0 and shed = ref 0 in

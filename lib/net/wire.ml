@@ -121,11 +121,11 @@ let kv_int key pairs =
 (* Request-side rendering for the client and the tests.  The TID token
    goes first so a server can route on it before looking at the input. *)
 let render_conv ?(tid = 0) input =
-  if tid = 0 then "CONV " ^ one_line input ^ "\n"
+  if tid <= 0 then "CONV " ^ one_line input ^ "\n"
   else Printf.sprintf "CONV %s%d %s\n" tid_prefix tid (one_line input)
 
 let render_batch ?(tid = 0) count =
-  if tid = 0 then Printf.sprintf "BATCH %d\n" count
+  if tid <= 0 then Printf.sprintf "BATCH %d\n" count
   else Printf.sprintf "BATCH %d %s%d\n" count tid_prefix tid
 
 let payload_length line =

@@ -83,8 +83,9 @@ val render_reply : reply -> string
     newline. *)
 
 val render_conv : ?tid:int -> string -> string
-(** The [CONV] request frame, newline included; [tid] (default 0 =
-    untraced) emits the TID token. *)
+(** The [CONV] request frame, newline included; a positive [tid] (a
+    trace id) emits the TID token, and [0] or {!Telemetry.Tracing.untraced}
+    omit it. *)
 
 val render_batch : ?tid:int -> int -> string
 (** The [BATCH] request frame, newline included. *)

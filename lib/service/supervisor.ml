@@ -122,7 +122,7 @@ type job = {
   job_lineno : int;
   job_input : string;
   deadline : Budget.deadline option;
-  job_tid : int;  (* trace id (0 = untraced); see Telemetry.Tracing *)
+  job_tid : int;  (* request id (0 = unsampled); see Telemetry.Tracing *)
   job_t0 : int;  (* queue-wait span token captured at submit *)
 }
 
@@ -353,7 +353,7 @@ let rec worker_loop t ~worker =
        the job's trace id so the pipeline spans inside [process] land
        on the request's trace *)
     Telemetry.Tracing.adopt job.job_tid;
-    Telemetry.Tracing.emit ~tid:job.job_tid Telemetry.Tracing.Queue_wait
+    Telemetry.Tracing.finish_of ~tid:job.job_tid Telemetry.Tracing.Queue_wait
       job.job_t0;
     if Telemetry.Flight.enabled () then
       Telemetry.Flight.record ~req:job.seq ~kind:"service-start"
@@ -362,9 +362,9 @@ let rec worker_loop t ~worker =
       try
         if Faults.fires kill_point then raise Worker_killed;
         if Faults.fires wedge_point then wedge_stall ();
-        let st0 = Telemetry.Trace.start () in
+        let st0 = Telemetry.Tracing.start () in
         let outcome, attempts = process t job in
-        Telemetry.Trace.finish Telemetry.Trace.Worker_service st0;
+        Telemetry.Tracing.finish Telemetry.Tracing.Worker_service st0;
         if Telemetry.Flight.enabled () then
           Telemetry.Flight.record ~req:job.seq ~kind:"service-end"
             (match outcome with
@@ -413,6 +413,7 @@ let rec worker_loop t ~worker =
         false
     in
     if continue then worker_loop t ~worker
+[@@lint.always_on "closes the queue-wait span that submit opened on the submitting domain"]
 
 (* Each worker domain runs under this wrapper: an escaping exception is
    a domain death, and the dying domain's last act is to spawn and
@@ -609,7 +610,7 @@ let submit t ?deadline_ms ?(tid = 0) ~lineno input =
   let deadline = Option.map (fun ms -> Budget.deadline_after ~ms) deadline_ms in
   (* the queue-wait span opens here, on the submitting thread; the
      dequeuing worker closes it *)
-  let job_t0 = Telemetry.Tracing.span_of tid in
+  let job_t0 = Telemetry.Tracing.start_of tid in
   (* the semaphore already bounds in-flight work, so this put cannot
      block; Closed can only race with a concurrent shutdown *)
   try
@@ -619,6 +620,7 @@ let submit t ?deadline_ms ?(tid = 0) ~lineno input =
   with Bqueue.Closed ->
     (invalid_arg "Supervisor.submit: service is shut down")
     [@lint.can_raise Invalid_argument] (* documented: submit/shutdown race is a caller bug *)
+[@@lint.always_on "opens the queue-wait span that the dequeuing worker_loop closes"]
 
 let stats t =
   Mutex.lock t.m;

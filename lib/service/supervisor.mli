@@ -143,10 +143,10 @@ val submit : t -> ?deadline_ms:int -> ?tid:int -> lineno:int -> string -> unit
     flight (backpressure).  [deadline_ms] grants a wall-clock budget
     measured from submission — queue wait counts, so a 0 ms deadline
     fails with a structured timeout without converting.  [tid]
-    (default 0 = untraced) is the request's {!Telemetry.Tracing} id:
+    (default 0 = unsampled) is the request's {!Telemetry.Tracing} id:
     the queue-wait span opens at submission, and the worker that
-    dequeues the job adopts the id so its pipeline spans land on the
-    request's trace.
+    dequeues the job adopts the id so its pipeline spans are timed
+    for the same request.
     @raise Invalid_argument after {!shutdown}. *)
 
 val shutdown : t -> stats

@@ -201,7 +201,7 @@ let rec update_exemplar h ~trace_id v =
 
 let observe_ex h ~trace_id v =
   observe h v;
-  if trace_id <> 0 then update_exemplar h ~trace_id v
+  if trace_id > 0 then update_exemplar h ~trace_id v
 
 let exemplar_of h =
   match Atomic.get h.h_exemplar with

@@ -104,7 +104,7 @@ val observe : histogram -> int -> unit
     past the last bound) and updates sum and count. *)
 
 val observe_ex : histogram -> trace_id:int -> int -> unit
-(** {!observe}, and when [trace_id <> 0] also offers [(v, trace_id)]
+(** {!observe}, and when [trace_id > 0] also offers [(v, trace_id)]
     as the histogram's exemplar — kept only if [v] exceeds the current
     exemplar's value (lock-free CAS), so the exemplar always points a
     trace at the worst observed latency. *)

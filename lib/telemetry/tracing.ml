@@ -1,24 +1,36 @@
-(* Request-scoped span tracing with Chrome trace-event export.
+(* Request-scoped span timing: per-stage histograms and Chrome
+   trace-event export from one span API.
 
-   A traced request gets a process-unique trace id; every pipeline and
-   service stage it crosses records a completed span ("X" phase in
-   Chrome trace-event terms) into a fixed-size global ring.  Requests
-   are *sampled* — a per-domain countdown picks one in N (default 64) —
-   so the hot loop only pays clock reads on the requests it is actually
-   following, and the ring bounds memory however long the process runs
-   (old spans are overwritten).
+   Requests are *sampled*, once per request: a per-domain countdown
+   picks one in N (default 64) whenever metrics or tracing is enabled.
+   A sampled request times every span it crosses, so the stage
+   histograms see whole requests and never alias with the number of
+   spans on a line.  A closed span observes its
+   [bdprint_stage_duration_ns{stage}] histogram when metrics are on; if
+   the request is also traced it lands in a fixed-size global ring
+   ("X" phase in Chrome trace-event terms), and its trace id becomes
+   the histogram's exemplar.  The ring bounds memory however long the
+   process runs (old spans are overwritten).
+
+   A request id is 0 (unsampled), [untraced] (sampled for the
+   histograms only: it never writes the ring and never crosses the
+   wire) or a positive trace id.
 
    Identity travels two ways:
-   - [begin_request]/[end_request] manage a domain-local current trace
-     id for straight-line pipelines (the CLI stream drivers, worker
-     domains processing one job at a time).  Systhreads share their
-     domain's DLS slot, so code that multiplexes requests across
-     threads — the daemon's connection threads, the client's hedge
-     helpers — must instead carry the id explicitly through
-     [span_of]/[emit ~tid].
-   - Across the wire the id rides the optional TID field of CONV/BATCH
-     (see Wire), so a daemon-side span lands under the same track as
-     the client spans that caused it.
+   - [begin_request]/[end_request] manage a domain-local current id
+     for straight-line pipelines (the CLI stream drivers, worker
+     domains processing one job at a time), read by [start]/[finish].
+     Systhreads share their domain's DLS slot, so code that multiplexes
+     requests across threads — the daemon's connection threads, the
+     client's hedge helpers — must instead carry the id explicitly
+     through [start_of]/[finish_of].
+   - Across the wire a trace id rides the optional TID field of
+     CONV/BATCH (see Wire), so a daemon-side span lands under the same
+     track as the client spans that caused it.
+
+   Disabled cost (metrics and tracing off): [start] is two atomic loads
+   and a branch, [start_of 0] and [finish] of a 0 token one branch —
+   no DLS read, no clock read, no allocation.
 
    Export is Chrome trace-event JSON (chrome://tracing, Perfetto).
    Each trace id becomes its own thread track ([tid] field), so the
@@ -86,21 +98,75 @@ let set_sample_every n =
   if n < 1 then invalid_arg "Tracing.set_sample_every: need >= 1";
   Atomic.set sample_every n
 
-(* Trace id 0 means "not traced" everywhere; ids start at 1. *)
+(* The one sampling rate of stage histograms and traces comes from an
+   environment variable; a value that is not an integer >= 1 is a
+   usage error, never silently ignored. *)
+let sample_every_from_env var =
+  match Sys.getenv_opt var with
+  | None -> Ok ()
+  | Some v -> (
+    match int_of_string_opt (String.trim v) with
+    | Some n when n >= 1 ->
+      Atomic.set sample_every n;
+      Ok ()
+    | _ -> Error (Printf.sprintf "%S is not an integer >= 1" v))
+
+let untraced = -1
+
+(* Trace id 0 means "not sampled" everywhere; trace ids start at 1. *)
 let next_tid = Atomic.make 1
 
 (* Per-domain sampling countdown, starting at 1 so the first request of
-   every domain is traced (short CLI runs still produce a trace). *)
+   every domain is sampled (short CLI runs still produce a trace). *)
 let countdown = Domain.DLS.new_key (fun () -> ref 1)
 
-(* Domain-local current trace id; 0 when the current request is not
-   traced.  Valid only where one request occupies the domain at a time
+(* Domain-local current request id; 0 when the current request is not
+   sampled.  Valid only where one request occupies the domain at a time
    (see the module comment). *)
 let current_tid = Domain.DLS.new_key (fun () -> ref 0)
 
 let request_start = Domain.DLS.new_key (fun () -> ref 0)
 
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
+
+(* ------------------------------------------------------------------ *)
+(* Stage histograms *)
+
+let index = function
+  | Parse -> 0
+  | Boundaries -> 1
+  | Scale -> 2
+  | Generate -> 3
+  | Render -> 4
+  | Client_attempt -> 5
+  | Client_backoff -> 6
+  | Client_hedge -> 7
+  | Wire_read -> 8
+  | Wire_write -> 9
+  | Queue_wait -> 10
+  | Worker_service -> 11
+  | Request -> 12
+  | Fastpath -> 13
+
+(* Log-linear nanosecond bounds, 100ns to 10ms: the pipeline stages
+   sit under a microsecond, a queued service round trip reaches
+   milliseconds, and the relative resolution stays roughly constant
+   across that whole span. *)
+let duration_bounds = Metrics.log_linear ~lo:100 ~hi:10_000_000 ()
+  [@@lint.domain_safe "read-only bounds template; Metrics.histogram copies it"]
+
+let hists =
+  Array.of_list
+    (List.map
+       (fun s ->
+         Metrics.histogram
+           ~labels:[ ("stage", stage_name s) ]
+           ~help:
+             "Per-stage latency in nanoseconds of sampled requests \
+              (pipeline, wire, queue and service stages)."
+           ~bounds:duration_bounds "bdprint_stage_duration_ns")
+       all)
+  [@@lint.domain_safe "array of registered histogram handles; written once at init"]
 
 (* ------------------------------------------------------------------ *)
 (* The span ring: immutable slots under an atomic cursor.
@@ -119,20 +185,18 @@ let ring : event option array = Array.make capacity None
 let cursor = Atomic.make 0
 
 let record ~tid ~stage ~start_ns ~dur_ns ?(note = "") () =
-  if tid <> 0 then begin
-    let ev =
-      {
-        ev_tid = tid;
-        ev_stage = stage;
-        ev_start_ns = start_ns;
-        ev_dur_ns = max 0 dur_ns;
-        ev_dom = (Domain.self () :> int);
-        ev_note = note;
-      }
-    in
-    let i = Atomic.fetch_and_add cursor 1 in
-    ring.(i mod capacity) <- Some ev
-  end
+  let ev =
+    {
+      ev_tid = tid;
+      ev_stage = stage;
+      ev_start_ns = start_ns;
+      ev_dur_ns = dur_ns;
+      ev_dom = (Domain.self () :> int);
+      ev_note = note;
+    }
+  in
+  let i = Atomic.fetch_and_add cursor 1 in
+  ring.(i mod capacity) <- Some ev
 
 let dropped () = max 0 (Atomic.get cursor - capacity)
 
@@ -143,21 +207,33 @@ let clear () =
   Atomic.set cursor 0
 
 (* ------------------------------------------------------------------ *)
+(* Spans *)
+
+(* Closes a span of request [tid] opened at [t0 <> 0]: the stage
+   histogram when metrics are on (a trace id as its exemplar), the ring
+   when the request is traced. *)
+let close ?note ~tid stage t0 =
+  let d = max 0 (now_ns () - t0) in
+  if Metrics.enabled () then Metrics.observe_ex hists.(index stage) ~trace_id:tid d;
+  if tid > 0 then record ~tid ~stage ~start_ns:t0 ~dur_ns:d ?note ()
+
+(* ------------------------------------------------------------------ *)
 (* Request lifecycle *)
 
 let fresh_tid () = Atomic.fetch_and_add next_tid 1
 
-(* Sampling decision alone: a fresh trace id for one request in N, or
-   0.  Does not touch the domain-local current id, so connection
+(* Sampling decision alone: one request in N gets a fresh trace id
+   when tracing is on, else [untraced] when only metrics are; the rest
+   get 0.  Does not touch the domain-local current id, so connection
    threads that multiplex requests can use it safely. *)
 let sample () =
-  if not (enabled ()) then 0
+  if not (enabled () || Metrics.enabled ()) then 0
   else begin
     let r = Domain.DLS.get countdown in
     let n = !r in
     if n <= 1 then begin
       r := Atomic.get sample_every;
-      fresh_tid ()
+      if enabled () then fresh_tid () else untraced
     end
     else begin
       r := n - 1;
@@ -180,24 +256,21 @@ let begin_request () =
 let end_request tid =
   if tid <> 0 then begin
     let t0 = !(Domain.DLS.get request_start) in
-    if t0 <> 0 then
-      record ~tid ~stage:Request ~start_ns:t0 ~dur_ns:(now_ns () - t0) ()
+    if t0 <> 0 then close ~tid Request t0
   end;
   adopt 0
 
-(* ------------------------------------------------------------------ *)
-(* Spans *)
+let start_of tid = if tid <> 0 then now_ns () else 0
 
-let span_of tid = if tid <> 0 then now_ns () else 0
+(* The enable check comes first so the disabled path skips the
+   domain-local lookup. *)
+let start () =
+  if enabled () || Metrics.enabled () then start_of (current ()) else 0
 
-let span () = span_of (current ())
+let finish_of ?note ~tid stage t0 = if t0 <> 0 then close ?note ~tid stage t0
 
-let emit ?note ?tid stage t0 =
-  if t0 <> 0 then begin
-    let tid = match tid with Some t -> t | None -> current () in
-    if tid <> 0 then
-      record ~tid ~stage ~start_ns:t0 ~dur_ns:(now_ns () - t0) ?note ()
-  end
+let finish ?note stage t0 =
+  if t0 <> 0 then close ?note ~tid:(current ()) stage t0
 
 (* Test hook: a deterministic event for golden output, bypassing the
    clock and the sampler. *)

@@ -1,22 +1,29 @@
-(** Request-scoped span tracing with Chrome trace-event export.
+(** Request-scoped span timing: per-stage histograms and Chrome
+    trace-event export.
 
-    One request in N ({!set_sample_every}, default 64) is assigned a
-    process-unique trace id; every stage it crosses records a completed
-    span into a fixed-size global ring (old spans are overwritten, so
-    memory stays bounded).  {!to_chrome_json} renders the ring in
-    Chrome trace-event JSON, loadable in chrome://tracing or Perfetto:
-    each trace id is its own thread track, so a request's spans nest by
-    time containment.
+    Sampling is decided once per request ({!sample}, {!begin_request}):
+    one request in N ({!set_sample_every}, default 64) is sampled
+    whenever metrics or tracing is enabled, and a sampled request times
+    every span it crosses.  A closed span observes its
+    [bdprint_stage_duration_ns{stage}] histogram (log-linear nanosecond
+    buckets) when metrics are on.  When the request is also traced, the
+    span lands in a fixed-size global ring (old spans are overwritten,
+    so memory stays bounded) and its trace id becomes the histogram's
+    exemplar.  {!to_chrome_json} renders the ring in Chrome trace-event
+    JSON, loadable in chrome://tracing or Perfetto: each trace id is
+    its own thread track, so a request's spans nest by time
+    containment.
 
-    Trace id [0] means "not traced" throughout; every entry point is a
-    cheap no-op for it, so call sites need no guards of their own.
+    A request id is [0] (unsampled), {!untraced} (sampled for the
+    histograms only) or a positive trace id.  Every entry point is a
+    cheap no-op for [0], so call sites need no guards of their own.
 
     The domain-local current id set by {!begin_request}/{!adopt} is
     only meaningful where a single request occupies the domain at a
     time (CLI stream drivers, supervisor worker domains).  Systhreads
     share their domain's slot, so multiplexing code — daemon connection
     threads, client hedge helpers — must carry the id explicitly via
-    {!span_of} and [emit ~tid]. *)
+    {!start_of} and {!finish_of}. *)
 
 type stage =
   | Parse
@@ -40,30 +47,43 @@ val stage_name : stage -> string
 (** {2 Enable switch and sampling} *)
 
 val enabled : unit -> bool
-(** One atomic load; disabled means {!sample} and {!begin_request}
-    return 0 and every span site stays on its 0-token no-op path. *)
+(** Whether tracing is on (one atomic load).  Sampling also runs when
+    only {!Metrics.enabled} is on; with both off {!sample} and
+    {!begin_request} return 0 and every span site stays on its 0-token
+    no-op path. *)
 
 val set_enabled : bool -> unit
 
 val set_sample_every : int -> unit
-(** Trace every Nth request per domain (default 64); [1] traces all.
+(** Sample every Nth request per domain (default 64); [1] samples all.
     @raise Invalid_argument on [n < 1]. *)
+
+val sample_every_from_env : string -> (unit, string) result
+(** Applies environment variable [var] as {!set_sample_every} when it
+    is set; [Error] describes a value that is not an integer >= 1 and
+    leaves the rate unchanged. *)
+
+val untraced : int
+(** The id of a request sampled for the stage histograms only: its
+    spans never write the ring, and it never stamps [TID=] on the
+    wire. *)
 
 (** {2 Request lifecycle} *)
 
 val begin_request : unit -> int
-(** Sampling decision for a new request on this domain: returns a
-    fresh trace id (or 0) and installs it as the domain-local current
-    id — including the 0, so an untraced request never inherits its
+(** Sampling decision for a new request on this domain: returns its id
+    (see {!sample}) and installs it as the domain-local current id —
+    including the 0, so an unsampled request never inherits its
     predecessor's id.  Pair with {!end_request}. *)
 
 val end_request : int -> unit
-(** Records the [Request] root span for a traced request and clears
-    the domain-local current id; [0] just clears. *)
+(** Closes the [Request] root span of a sampled request and clears the
+    domain-local current id; [0] just clears. *)
 
 val sample : unit -> int
-(** The sampling decision alone — a fresh trace id for one request in
-    N, or 0 — without touching the domain-local current id.  For
+(** The sampling decision alone, without touching the domain-local
+    current id: for one request in N a fresh trace id when tracing is
+    on, else {!untraced} when metrics are on; 0 otherwise.  For
     connection threads that multiplex requests. *)
 
 val fresh_tid : unit -> int
@@ -72,7 +92,7 @@ val fresh_tid : unit -> int
     explicit trace requests). *)
 
 val current : unit -> int
-(** The domain-local current trace id; 0 when untraced. *)
+(** The domain-local current request id; 0 when unsampled. *)
 
 val adopt : int -> unit
 (** Installs [tid] as the domain-local current id (0 clears) — worker
@@ -80,22 +100,21 @@ val adopt : int -> unit
 
 (** {2 Spans} *)
 
-val span : unit -> int
-(** Opens a span against the current id: a clock token, or 0 when the
-    current request is untraced. *)
+val start : unit -> int
+(** Opens a span of the current request: a clock token, or 0 when it
+    is unsampled.  With metrics and tracing off: two atomic loads and a
+    branch. *)
 
-val span_of : int -> int
-(** Opens a span against an explicit id: a clock token, or 0. *)
+val finish : ?note:string -> stage -> int -> unit
+(** Closes a span opened by {!start} against the current id; a [0]
+    token is a no-op.  [note] is attached to the trace event (ignored
+    by the histograms). *)
 
-val emit : ?note:string -> ?tid:int -> stage -> int -> unit
-(** Closes a span opened by {!span}/{!span_of}; a [0] token is a
-    no-op.  [tid] defaults to the domain-local current id. *)
+val start_of : int -> int
+(** Opens a span of request [tid]: a clock token, or 0 when [tid = 0]. *)
 
-val record :
-  tid:int -> stage:stage -> start_ns:int -> dur_ns:int -> ?note:string ->
-  unit -> unit
-(** Low-level ring write of a completed span; [tid = 0] is a no-op.
-    {!Trace.finish} uses this to forward pipeline-stage timings. *)
+val finish_of : ?note:string -> tid:int -> stage -> int -> unit
+(** Closes a span opened by {!start_of}; a [0] token is a no-op. *)
 
 (** {2 Export} *)
 

@@ -303,6 +303,105 @@ let test_stats_flag () =
   let status, _, _ = bdprint_full "--stats 0.1" in
   Alcotest.(check bool) "--stats without --stdin rejected" true (status <> 0)
 
+(* Stage histograms sample whole requests, so every stage a path
+   crosses collects observations.  A per-span countdown would alias
+   with the number of spans on each line and leave whole stages
+   empty. *)
+let stage_count prom stage =
+  let prefix =
+    Printf.sprintf "bdprint_stage_duration_ns_count{stage=\"%s\"} " stage
+  in
+  let n = String.length prefix in
+  match
+    List.find_opt
+      (fun l -> String.length l > n && String.sub l 0 n = prefix)
+      prom
+  with
+  | Some l -> int_of_string (String.sub l n (String.length l - n))
+  | None -> 0
+
+let read_lines path =
+  let ic = open_in path in
+  let lines = ref [] in
+  (try
+     while true do
+       lines := input_line ic :: !lines
+     done
+   with End_of_file -> ());
+  close_in ic;
+  List.rev !lines
+
+let test_stage_histograms () =
+  let stdin =
+    Workloads.Schryer.corpus ~size:640 ()
+    |> Array.to_list
+    |> List.map (fun x -> Printf.sprintf "%.17g\n" x)
+    |> String.concat ""
+  in
+  List.iter
+    (fun (flags, stages) ->
+      let json = Filename.temp_file "bdprint" ".json" in
+      let prom = Filename.chop_suffix json ".json" ^ ".prom" in
+      let status, _, _ =
+        bdprint_full ~stdin
+          (Printf.sprintf "--stdin --metrics %s %s" (Filename.quote json)
+             flags)
+      in
+      let text = read_lines prom in
+      Sys.remove json;
+      Sys.remove prom;
+      Alcotest.(check int) (flags ^ " exit") 0 status;
+      List.iter
+        (fun stage ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s observed" flags stage)
+            true
+            (stage_count text stage > 0))
+        stages)
+    [
+      ("--digits 17", [ "parse"; "fastpath" ]);
+      ( "--jobs 2",
+        [ "parse"; "fastpath"; "render"; "queue-wait"; "worker-service" ] );
+    ]
+
+(* The sampling rate is read whenever metrics or tracing is on; a value
+   that is not an integer >= 1 is a usage error, not silently
+   ignored. *)
+let test_trace_sample_env () =
+  List.iter
+    (fun v ->
+      let env = "BDPRINT_TRACE_SAMPLE=" ^ v in
+      let status, out, err =
+        bdprint_full ~env ~stdin:"0.1\n" "--stdin --stats"
+      in
+      Alcotest.(check bool) (env ^ " rejected") true (status <> 0);
+      Alcotest.(check (list string)) (env ^ " converts nothing") [] out;
+      Alcotest.(check bool) (env ^ " named on stderr") true
+        (List.exists (fun l -> contains l "BDPRINT_TRACE_SAMPLE") err))
+    [ "0"; "abc" ];
+  let status, out, _ =
+    bdprint_full ~env:"BDPRINT_TRACE_SAMPLE=1" ~stdin:"0.1\n" "--stdin --stats"
+  in
+  Alcotest.(check int) "valid rate accepted" 0 status;
+  Alcotest.(check (list string)) "valid rate output" [ "0.1" ] out;
+  let status, _, _ =
+    bdprint_full ~env:"BDPRINT_TRACE_SAMPLE=abc" ~stdin:"0.1\n" "--stdin"
+  in
+  Alcotest.(check int) "unread without telemetry" 0 status;
+  let daemon =
+    Filename.concat
+      (Filename.dirname (Filename.dirname Sys.executable_name))
+      "bin/bdprintd.exe"
+  in
+  let status =
+    Sys.command
+      (Printf.sprintf
+         "BDPRINTD_TRACE_SAMPLE=0 %s --listen 127.0.0.1:0 --stats \
+          > /dev/null 2>&1"
+         (Filename.quote daemon))
+  in
+  Alcotest.(check bool) "bdprintd rejects before listening" true (status <> 0)
+
 (* Interrupted streams: SIGINT mid-stream and a downstream consumer
    closing the pipe (SIGPIPE) must both flush --metrics and exit with
    the distinct code 5 instead of dying on the default signal action. *)
@@ -423,6 +522,9 @@ let () =
           Alcotest.test_case "jobs parallel streaming" `Quick
             test_jobs_parallel;
           Alcotest.test_case "stats flag" `Quick test_stats_flag;
+          Alcotest.test_case "stage histograms per request" `Quick
+            test_stage_histograms;
+          Alcotest.test_case "trace sample env" `Quick test_trace_sample_env;
           Alcotest.test_case "SIGINT interrupts stream" `Quick
             test_sigint_stream;
           Alcotest.test_case "SIGPIPE interrupts stream" `Quick

@@ -249,15 +249,6 @@ let raw_send fd s =
   in
   go 0 (Bytes.length b)
 
-(* Poll [cond] every millisecond until it holds; fail after [timeout_s]. *)
-let wait_until ?(timeout_s = 5.0) what cond =
-  let deadline = Unix.gettimeofday () +. timeout_s in
-  while not (cond ()) do
-    if Unix.gettimeofday () > deadline then
-      Alcotest.failf "timed out waiting for %s" what;
-    Thread.delay 0.001
-  done
-
 let test_shed_retry_after_honored () =
   let slow input =
     Unix.sleepf 0.05;
@@ -295,7 +286,7 @@ let test_shed_retry_after_honored () =
   let rec occupy attempts =
     let shed0 = (Server.stats server).Server.shed_queue_full in
     raw_send occupier "CONV 0.5\n";
-    wait_until "occupier admitted or shed" (fun () ->
+    Sync.wait_until "occupier admitted or shed" (fun () ->
         occupied () || (Server.stats server).Server.shed_queue_full > shed0);
     if not (occupied ()) then
       if attempts = 0 then Alcotest.fail "occupier never admitted"

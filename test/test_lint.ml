@@ -180,26 +180,35 @@ let shed reason =
 let dump_on_crash () = Telemetry.Flight.dump ~reason:"worker-crash"
 |}
 
-(* span pairing: Trace.start without finish leaks an open span; finish
-   without start observes someone else's clock *)
+(* span pairing: a start without a finish leaks an open span; a finish
+   without a start closes someone else's clock; counts must balance *)
 let spans_bad =
   {|
 let leak x =
-  let t0 = Telemetry.Trace.start () in
+  let t0 = Telemetry.Tracing.start () in
   t0 + x
 
-let orphan t0 = Telemetry.Trace.finish Telemetry.Trace.Parse t0
+let orphan t0 = Telemetry.Tracing.finish Telemetry.Tracing.Parse t0
+
+let handoff tid t0 =
+  Telemetry.Tracing.finish_of ~tid Telemetry.Tracing.Queue_wait t0;
+  let t1 = Telemetry.Tracing.start () in
+  Telemetry.Tracing.finish Telemetry.Tracing.Worker_service t1
 |}
 
 let spans_good =
   {|
 let staged x =
-  let t0 = Telemetry.Trace.start () in
+  let t0 = Telemetry.Tracing.start () in
   let r = x * 2 in
-  Telemetry.Trace.finish Telemetry.Trace.Parse t0;
+  Telemetry.Tracing.finish Telemetry.Tracing.Parse t0;
   r
 
-let deliberate_handoff () = Telemetry.Trace.start ()
+let explicit tid =
+  let t0 = Telemetry.Tracing.start_of tid in
+  Telemetry.Tracing.finish_of ~tid Telemetry.Tracing.Wire_write t0
+
+let deliberate_handoff tid = Telemetry.Tracing.start_of tid
 [@@lint.always_on "token finished by caller"]
 |}
 
@@ -218,8 +227,11 @@ let test_telemetry () =
   check_rules "gated flight record; dump exempt" []
     (run ~filename:"fixtures/hot/loop.ml" flight_good);
   check_rules "unpaired spans"
-    [ "telemetry-gate"; "telemetry-gate" ]
+    [ "telemetry-gate"; "telemetry-gate"; "telemetry-gate" ]
     (run ~filename:"fixtures/hot/loop.ml" spans_bad);
+  check_rules "span pairing outside telemetry dirs"
+    [ "telemetry-gate"; "telemetry-gate"; "telemetry-gate" ]
+    (run spans_bad);
   check_rules "paired and annotated spans" []
     (run ~filename:"fixtures/hot/loop.ml" spans_good)
 

@@ -346,7 +346,9 @@ let test_server_overload_shed () =
       Alcotest.(check bool) "warmup" true (recv_reply a = Wire.Converted "0.1");
       (* occupy the only worker... *)
       send a "CONV 0.5\n";
-      Thread.delay 0.02;
+      Sync.wait_until "second request admitted" (fun () ->
+          (Server.stats server).Server.supervisor.Service.Supervisor.submitted
+          >= 2);
       (* ...then ask for a 30 ms answer while ~100 ms of work is queued *)
       let b = connect port in
       send b "DEADLINE 30\nCONV 1.5\n";
@@ -404,9 +406,8 @@ let test_server_repeats_are_admitted () =
           (* hold the single admission slot... *)
           send a "CONV 0.5
 ";
-          while not (Atomic.get started) do
-            Unix.sleepf 0.001
-          done;
+          Sync.wait_until "slow request started" (fun () ->
+              Atomic.get started);
           (* ...and an already-answered value is shed, not served *)
           send b "CONV 0.25
 ";
@@ -545,7 +546,9 @@ let test_server_drain_loses_nothing () =
                 close c)
               ())
       in
-      Thread.delay 0.3;
+      (* drain with requests in flight, once work is under way *)
+      Sync.wait_until "work under way" (fun () ->
+          (Server.stats server).Server.replies_ok >= 2 * n_threads);
       Server.drain server;
       let final = Server.wait server in
       List.iter Thread.join threads;
@@ -565,6 +568,50 @@ let test_server_drain_loses_nothing () =
          last in-flight request of each connection, cut by EOF *)
       Alcotest.(check bool) "bounded loss at EOF" true
         (total sent - (total answered + total shed) <= n_threads))
+
+(* With metrics on and tracing off, every layer a sampled request
+   crosses in the daemon has a stage histogram, not just the worker.
+   Each connection thread serves its requests in order, so the PING
+   reply after the pipelined CONVs is a barrier: every CONV's
+   wire-write and request spans have closed by then. *)
+let test_server_stage_histograms () =
+  let stages = [ "queue-wait"; "worker-service"; "wire-write"; "request" ] in
+  let counts () =
+    let snap = Telemetry.Snapshot.take () in
+    List.map
+      (fun stage ->
+        match
+          Telemetry.Snapshot.histogram_value
+            ~labels:[ ("stage", stage) ]
+            snap "bdprint_stage_duration_ns"
+        with
+        | Some hv -> hv.Telemetry.Snapshot.count
+        | None -> 0)
+      stages
+  in
+  Telemetry.set_enabled true;
+  Fun.protect ~finally:(fun () -> Telemetry.set_enabled false) @@ fun () ->
+  let before = counts () in
+  let n = 64 in
+  with_server (fun server port ->
+      let c = connect port in
+      send c
+        (String.concat ""
+           (List.init n (fun i -> Printf.sprintf "CONV %d.5\n" i))
+        ^ "PING\n");
+      for i = 0 to n - 1 do
+        Alcotest.(check bool) "converted" true
+          (recv_reply c = Wire.Converted (Printf.sprintf "%d.5" i))
+      done;
+      Alcotest.(check bool) "pong" true (recv_reply c = Wire.Pong);
+      close c;
+      Alcotest.(check int) "every CONV served" n
+        (Server.stats server).Server.replies_ok);
+  List.iter2
+    (fun stage (b, a) ->
+      Alcotest.(check bool) (stage ^ " observed") true (a - b >= 1))
+    stages
+    (List.combine before (counts ()))
 
 let test_server_chaos () =
   let requests =
@@ -718,6 +765,8 @@ let () =
             test_server_repeats_are_admitted;
           Alcotest.test_case "worker-wedge" `Quick test_server_worker_wedge;
           Alcotest.test_case "deadline" `Quick test_server_deadline;
+          Alcotest.test_case "stage-histograms" `Quick
+            test_server_stage_histograms;
           Alcotest.test_case "drain-loses-nothing" `Quick
             test_server_drain_loses_nothing;
           Alcotest.test_case "chaos" `Slow test_server_chaos;

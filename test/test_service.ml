@@ -408,10 +408,8 @@ let test_breaker_cycle () =
   (* wait until all five are emitted (the breaker opened at reply 3),
      then sit out the cooldown: the half-open probe must run the real
      pipeline and close the breaker again *)
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  while Atomic.get emitted < 5 && Unix.gettimeofday () < deadline do
-    Unix.sleepf 0.002
-  done;
+  Sync.wait_until ~timeout_s:10.0 "first five emitted" (fun () ->
+      Atomic.get emitted >= 5);
   Alcotest.(check int) "first five emitted" 5 (Atomic.get emitted);
   Unix.sleepf 0.08;
   S.submit svc ~lineno:6 "2.5";

@@ -225,6 +225,7 @@ let test_tracing_lifecycle () =
   Fun.protect
     ~finally:(fun () ->
       Telemetry.Tracing.set_enabled false;
+      Telemetry.set_enabled false;
       Telemetry.Tracing.set_sample_every 64;
       Telemetry.Tracing.clear ())
     (fun () ->
@@ -232,18 +233,42 @@ let test_tracing_lifecycle () =
       Alcotest.(check bool) "sampled at 1-in-1" true (tid <> 0);
       Alcotest.(check int) "current follows begin_request" tid
         (Telemetry.Tracing.current ());
-      let t0 = Telemetry.Tracing.span () in
-      Telemetry.Tracing.emit Telemetry.Tracing.Parse t0;
+      let t0 = Telemetry.Tracing.start () in
+      Telemetry.Tracing.finish Telemetry.Tracing.Parse t0;
       Telemetry.Tracing.end_request tid;
       Alcotest.(check int) "current cleared" 0 (Telemetry.Tracing.current ());
       (* parse span + request root span *)
       Alcotest.(check int) "two spans" 2
         (Telemetry.Tracing.events_recorded ());
-      (* a disabled sampler yields 0 and spans become no-ops *)
+      (* metrics alone: the sampled request is timed into the stage
+         histogram but never reaches the ring *)
       Telemetry.Tracing.set_enabled false;
+      Telemetry.set_enabled true;
+      let parse_count () =
+        match
+          Snapshot.histogram_value
+            ~labels:[ ("stage", "parse") ]
+            (Snapshot.take ()) "bdprint_stage_duration_ns"
+        with
+        | Some hv -> hv.Snapshot.count
+        | None -> 0
+      in
+      let before = parse_count () in
+      let tid = Telemetry.Tracing.begin_request () in
+      Alcotest.(check int) "metrics-only id" Telemetry.Tracing.untraced tid;
+      Telemetry.Tracing.finish Telemetry.Tracing.Parse
+        (Telemetry.Tracing.start ());
+      Telemetry.Tracing.end_request tid;
+      Telemetry.set_enabled false;
+      Alcotest.(check int) "parse histogram observed" (before + 1)
+        (parse_count ());
+      Alcotest.(check int) "ring untouched" 2
+        (Telemetry.Tracing.events_recorded ());
+      (* a disabled sampler yields 0 and spans become no-ops *)
       Alcotest.(check int) "disabled sample" 0 (Telemetry.Tracing.sample ());
-      Alcotest.(check int) "span against untraced" 0
-        (Telemetry.Tracing.span_of 0))
+      Alcotest.(check int) "disabled span" 0 (Telemetry.Tracing.start ());
+      Alcotest.(check int) "span against unsampled" 0
+        (Telemetry.Tracing.start_of 0))
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder *)
