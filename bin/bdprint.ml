@@ -134,7 +134,10 @@ let stdin_flag =
           "Streaming batch mode: read newline-delimited numbers from \
            standard input, one conversion per line.  Per-line failures \
            are reported on stderr as structured errors without aborting \
-           the stream; blank lines are skipped.")
+           the stream; blank lines are skipped.  Each answer is written \
+           before bdprint waits for more input, so a coprocess that \
+           writes one line and waits gets its answer; a batch run's \
+           output is written once per input chunk.")
 
 let max_errors =
   Arg.(
@@ -421,6 +424,61 @@ let finish_stream ~counts ~show_stats ~metrics_file ~interrupted =
   end;
   exit (class_exit_code counts)
 
+(* The stdin line source shared by both stream drivers.  It reads stdin
+   in chunks into one reused buffer and yields exactly the lines
+   [input_line] would — '\n'-terminated, the last one possibly without
+   its '\n', blank ones included so line numbers stay true — each
+   already passed through [String.trim].  [before_read] runs before
+   every read of stdin, the only place the stream can block; raises
+   [End_of_file] when the input is exhausted. *)
+(* small, since it is reused: a chunk already holds ~200 typical lines,
+   so the per-chunk flush and read cost little per line *)
+let chunk_size = 4096
+
+let stdin_lines ~before_read =
+  let chunk = Bytes.create chunk_size in
+  let pos = ref 0 and len = ref 0 in
+  (* a line straddling chunk boundaries *)
+  let carry = Buffer.create 80 in
+  let take_carry () =
+    let line = String.trim (Buffer.contents carry) in
+    Buffer.clear carry;
+    line
+  in
+  let rec newline i =
+    if i >= !len then -1
+    else if Bytes.get chunk i = '\n' then i
+    else newline (i + 1)
+  in
+  let rec next () =
+    if !pos >= !len then begin
+      before_read ();
+      len := input stdin chunk 0 chunk_size;
+      pos := 0;
+      if !len > 0 then next ()
+      else if Buffer.length carry > 0 then take_carry ()
+      else raise End_of_file
+    end
+    else
+      let start = !pos in
+      let i = newline start in
+      if i < 0 then begin
+        Buffer.add_subbytes carry chunk start (!len - start);
+        pos := !len;
+        next ()
+      end
+      else begin
+        pos := i + 1;
+        if Buffer.length carry = 0 then
+          String.trim (Bytes.sub_string chunk start (i - start))
+        else begin
+          Buffer.add_subbytes carry chunk start (i - start);
+          take_carry ()
+        end
+      end
+  in
+  next
+
 (* Sequential deadline support: same pre-flight + cooperative-check
    semantics as the service workers. *)
 let with_line_deadline deadline_ms convert input =
@@ -455,21 +513,25 @@ let run_stream ~convert ~max_errors ~deadline_ms ~show_stats ~metrics_file =
   let aborted = ref false in
   let interrupted = install_stream_signals () in
   Telemetry.Metrics.set_gauge g_jobs 1;
+  (* answers are flushed only when the stream may block on stdin *)
+  let next_line = stdin_lines ~before_read:(fun () -> flush stdout) in
   (try
      while (not !aborted) && not (Atomic.get interrupted) do
-       let line = input_line stdin in
+       let line = next_line () in
        incr lineno;
-       if String.trim line <> "" then begin
+       if line <> "" then begin
          Telemetry.Metrics.incr m_conversions;
          let tid = Telemetry.Tracing.begin_request () in
-         (match with_line_deadline deadline_ms convert (String.trim line) with
+         (match with_line_deadline deadline_ms convert line with
          | Ok out ->
            Telemetry.Metrics.incr m_ok;
            print_string out;
-           print_newline ()
+           print_char '\n'
          | Error e ->
            count_error counts e;
            record_error e;
+           (* keep 2>&1 in order: the answers before this line first *)
+           flush stdout;
            Printf.eprintf "error: line %d: %s\n%!" !lineno (Error.to_string e);
            (match max_errors with
            | Some cap when total_errors counts >= cap ->
@@ -494,33 +556,44 @@ let run_stream ~convert ~max_errors ~deadline_ms ~show_stats ~metrics_file =
    order); the main domain only reads stdin and submits, so output never
    interleaves.  --max-errors sets a stop flag read by the submission
    loop; lines already in flight still drain (the shutdown contract
-   forbids dropping submitted work). *)
+   forbids dropping submitted work).  The collector flushes stdout after
+   the reply to the most recently submitted line: nothing else is then
+   in flight, so the submitter is reading stdin and may block there. *)
 let run_stream_jobs ~convert ~jobs ~max_errors ~deadline_ms ~show_stats
     ~metrics_file =
   let counts = new_counts () in
   let stop = Atomic.make false in
   let interrupted = install_stream_signals () in
+  (* set before each submit, so a reply whose line number equals it
+     leaves nothing in flight *)
+  let last_submitted = Atomic.make 0 in
+  let write_reply lineno tag out =
+    try
+      print_string tag;
+      print_string out;
+      print_char '\n';
+      if lineno = Atomic.get last_submitted then flush stdout
+    with Sys_error _ ->
+      (* downstream consumer closed the pipe: stop submitting; lines
+         already in flight still drain (emitted, writes no-op) *)
+      Atomic.set interrupted true
+  in
   let emit (reply : Supervisor.reply) =
     Telemetry.Metrics.incr m_conversions;
     match reply.Supervisor.outcome with
-    | Supervisor.Done out -> (
+    | Supervisor.Done out ->
       Telemetry.Metrics.incr m_ok;
-      try
-        print_string out;
-        print_newline ()
-      with Sys_error _ ->
-        (* downstream consumer closed the pipe: stop submitting; lines
-           already in flight still drain (emitted, writes no-op) *)
-        Atomic.set interrupted true)
-    | Supervisor.Degraded out -> (
+      write_reply reply.Supervisor.lineno "" out
+    | Supervisor.Degraded out ->
       (* breaker-open fallback: correct to 17 significant digits but not
          the pipeline's output — keep the tag machine-visible *)
       Telemetry.Metrics.incr m_degraded;
-      try Printf.printf "degraded:%s\n" out
-      with Sys_error _ -> Atomic.set interrupted true)
+      write_reply reply.Supervisor.lineno "degraded:" out
     | Supervisor.Failed e ->
       count_error counts e;
       record_error e;
+      (* keep 2>&1 in order: the answers before this line first *)
+      (try flush stdout with Sys_error _ -> Atomic.set interrupted true);
       Printf.eprintf "error: line %d: %s\n%!" reply.Supervisor.lineno
         (Error.to_string e);
       (match max_errors with
@@ -536,16 +609,17 @@ let run_stream_jobs ~convert ~jobs ~max_errors ~deadline_ms ~show_stats
   Telemetry.Metrics.set_gauge g_queue_capacity queue_capacity;
   let service = Supervisor.start ~jobs ~queue_capacity ~emit convert in
   let lineno = ref 0 in
+  let next_line = stdin_lines ~before_read:ignore in
   (try
      while (not (Atomic.get stop)) && not (Atomic.get interrupted) do
-       let line = input_line stdin in
+       let line = next_line () in
        incr lineno;
-       if String.trim line <> "" then begin
+       if line <> "" then begin
          (* the worker that dequeues the job adopts this id, so the
             sampling decision happens here on the submitting domain *)
          let tid = Telemetry.Tracing.sample () in
-         Supervisor.submit service ?deadline_ms ~tid ~lineno:!lineno
-           (String.trim line)
+         Atomic.set last_submitted !lineno;
+         Supervisor.submit service ?deadline_ms ~tid ~lineno:!lineno line
        end
      done
    with
@@ -697,9 +771,12 @@ let run base mode fmt strategy notation digits places hex_out use_stdin
               match convert input with
               | Error e ->
                 ok := false;
-                Printf.eprintf "error: %s\n" (Error.to_string e)
+                flush stdout;
+                Printf.eprintf "error: %s\n%!" (Error.to_string e)
               | Ok out -> Printf.printf "%s\n" out)
             numbers;
+          (* the failure trailer goes to stderr after every answer *)
+          flush stdout;
           if !ok then `Ok () else `Error (false, "some inputs failed")))
   end
 

@@ -478,6 +478,203 @@ exit $code
   Alcotest.(check int) "closed pipe exits 5 (--jobs)" 5
     (run_script (one "--jobs 2"))
 
+(* Coprocess use: a caller that writes one line and waits must get that
+   line's answer (or its error) without closing stdin — output is never
+   held back while bdprint blocks on input.  Blank lines answer
+   nothing, and the next line's answer must still arrive. *)
+
+let read_line_within ~seconds fd pending =
+  let deadline = Unix.gettimeofday () +. seconds in
+  let chunk = Bytes.create 256 in
+  let rec go () =
+    match String.index_opt (Buffer.contents pending) '\n' with
+    | Some i ->
+      let all = Buffer.contents pending in
+      Buffer.clear pending;
+      Buffer.add_string pending
+        (String.sub all (i + 1) (String.length all - i - 1));
+      Some (String.sub all 0 i)
+    | None ->
+      let left = deadline -. Unix.gettimeofday () in
+      if left <= 0. then None
+      else begin
+        match Unix.select [ fd ] [] [] left with
+        | [], _, _ -> None
+        | _ ->
+          let n = Unix.read fd chunk 0 (Bytes.length chunk) in
+          if n = 0 then None
+          else begin
+            Buffer.add_subbytes pending chunk 0 n;
+            go ()
+          end
+      end
+  in
+  go ()
+
+let test_coprocess () =
+  let exe = cli_exe () in
+  let one args =
+    let in_r, in_w = Unix.pipe ~cloexec:true () in
+    let out_r, out_w = Unix.pipe ~cloexec:true () in
+    let err_r, err_w = Unix.pipe ~cloexec:true () in
+    let pid =
+      Unix.create_process exe (Array.of_list (exe :: args)) in_r out_w err_w
+    in
+    List.iter Unix.close [ in_r; out_w; err_w ];
+    let out_pending = Buffer.create 64 and err_pending = Buffer.create 64 in
+    let name = String.concat " " args in
+    List.iter
+      (fun (line, expect) ->
+        let msg = line ^ "\n" in
+        ignore (Unix.write_substring in_w msg 0 (String.length msg));
+        match expect with
+        | `Nothing -> ()
+        | `Out answer ->
+          Alcotest.(check (option string))
+            (Printf.sprintf "%s: %S answered within 2 s" name line)
+            (Some answer)
+            (read_line_within ~seconds:2. out_r out_pending)
+        | `Err needle ->
+          let got = read_line_within ~seconds:2. err_r err_pending in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %S reported within 2 s (%s)" name line
+               (Option.value got ~default:"<nothing>"))
+            true
+            (match got with Some l -> contains l needle | None -> false))
+      [
+        ("0.1", `Out "0.1");
+        ("1e23", `Out "1e23");
+        ("bogus", `Err "line 3");
+        ("", `Nothing);
+        ("2.5", `Out "2.5");
+      ];
+    Unix.close in_w;
+    let _, status = Unix.waitpid [] pid in
+    List.iter Unix.close [ out_r; err_r ];
+    Alcotest.(check bool)
+      (name ^ ": exits 2 after the syntax error")
+      true
+      (status = Unix.WEXITED 2)
+  in
+  one [ "--stdin" ];
+  one [ "--stdin"; "--jobs"; "2" ]
+
+(* The stdin reader works in 4 KB chunks; lines that straddle chunk
+   boundaries, a line longer than a chunk, CRLF endings, runs of blank
+   lines and a last line without its '\n' must convert exactly as the
+   same numbers given one by one as arguments, and a syntax error past
+   the first boundary must carry its true line number. *)
+let test_chunk_boundaries () =
+  let chunk = 4096 in
+  let buf = Buffer.create (4 * chunk) in
+  let lines = ref [] in
+  let add line ending =
+    lines := line :: !lines;
+    Buffer.add_string buf line;
+    Buffer.add_string buf ending
+  in
+  (* pad [number] with leading spaces so its line ending starts at
+     offset [at] of the input *)
+  let add_ending_at at number ending =
+    let pad = at - Buffer.length buf - String.length number in
+    add (String.make (max 0 pad) ' ' ^ number) ending
+  in
+  let i = ref 0 in
+  while Buffer.length buf < chunk - 200 do
+    incr i;
+    add (Printf.sprintf "%d.%d" !i (!i * 37 mod 1000)) "\n"
+  done;
+  (* '\n' is the first chunk's last byte, so the next line opens the
+     second chunk *)
+  add_ending_at (chunk - 1) "1.25" "\n";
+  add "3.5" "\r\n";
+  (* a CRLF split by the second boundary *)
+  add_ending_at ((2 * chunk) - 1) "6.75" "\r\n";
+  add "" "\n";
+  add "   " "\n";
+  add "" "\r\n";
+  (* longer than a chunk, across the third boundary *)
+  add ("0.1" ^ String.make (chunk + 500) '0') "\n";
+  add "bogus" "\n";
+  let bogus_line = List.length !lines in
+  (* '\n' is the fifth chunk's first byte *)
+  add_ending_at (4 * chunk) "8.5" "\n";
+  i := 0;
+  while Buffer.length buf < (5 * chunk) + 100 do
+    incr i;
+    add (Printf.sprintf "  %de%d\t" !i (!i mod 300 - 150)) "\n"
+  done;
+  add "" "\n";
+  add "" "\n";
+  add "7.25" "";
+  let stdin = Buffer.contents buf in
+  Alcotest.(check (list char)) "line endings sit on the boundaries"
+    [ '\n'; '\r'; '\n'; '\n' ]
+    [ stdin.[chunk - 1]; stdin.[(2 * chunk) - 1]; stdin.[2 * chunk];
+      stdin.[4 * chunk] ];
+  let args =
+    List.rev !lines
+    |> List.map String.trim
+    |> List.filter (fun l -> l <> "")
+    |> List.map Filename.quote
+    |> String.concat " "
+  in
+  let _, expected, _ = bdprint_full ("-- " ^ args) in
+  Alcotest.(check bool) "positional reference converted every line" true
+    (List.length expected > 100);
+  List.iter
+    (fun driver ->
+      let status, out, err = bdprint_full ~stdin driver in
+      Alcotest.(check int) (driver ^ " exit") 2 status;
+      Alcotest.(check (list string)) (driver ^ " matches positional")
+        expected out;
+      Alcotest.(check (list string))
+        (driver ^ " names the bogus line")
+        [
+          Printf.sprintf
+            "error: line %d: syntax error: expected digits at index 0 in \
+             \"bogus\""
+            bogus_line;
+          "error: 1 input line(s) failed";
+        ]
+        err)
+    [ "--stdin"; "--stdin --jobs 2" ]
+
+(* With 2>&1 an error appears after the answers that preceded it and
+   before the ones that follow it, in every mode. *)
+let test_merged_order () =
+  let merged ~stdin args =
+    let tmp_in = Filename.temp_file "bdprint" ".in" in
+    let tmp_out = Filename.temp_file "bdprint" ".out" in
+    let oc = open_out tmp_in in
+    output_string oc stdin;
+    close_out oc;
+    let (_ : int) =
+      Sys.command
+        (Printf.sprintf "%s %s < %s > %s 2>&1" (Filename.quote (cli_exe ()))
+           args (Filename.quote tmp_in) (Filename.quote tmp_out))
+    in
+    let out = read_lines tmp_out in
+    Sys.remove tmp_in;
+    Sys.remove tmp_out;
+    out
+  in
+  let err = "syntax error: expected digits at index 0 in \"bogus\"" in
+  List.iter
+    (fun driver ->
+      Alcotest.(check (list string)) (driver ^ " 2>&1 order")
+        [
+          "0.1";
+          "error: line 2: " ^ err;
+          "1e23";
+          "error: 1 input line(s) failed";
+        ]
+        (merged ~stdin:"0.1\nbogus\n1e23\n" driver))
+    [ "--stdin"; "--stdin --jobs 2" ];
+  Alcotest.(check (list string)) "positional 2>&1 order"
+    [ "0.1"; "error: " ^ err; "1e23"; "bdprint: some inputs failed" ]
+    (merged ~stdin:"" "0.1 bogus 1e23")
+
 (* Every binary's man page renders: cmdliner validates the markup only
    when the page is printed, so a bad escape in an example block shows
    up as an error on stderr from --help and nowhere else. *)
@@ -529,6 +726,12 @@ let () =
             test_sigint_stream;
           Alcotest.test_case "SIGPIPE interrupts stream" `Quick
             test_sigpipe_stream;
+          Alcotest.test_case "stdin answers a coprocess" `Quick
+            test_coprocess;
+          Alcotest.test_case "stdin chunk boundaries" `Quick
+            test_chunk_boundaries;
+          Alcotest.test_case "stdout and stderr order" `Quick
+            test_merged_order;
           Alcotest.test_case "--help renders for every binary" `Quick
             test_help_renders;
         ] );

@@ -52,6 +52,71 @@ let test_render_fixed () =
     (Render.fixed ~notation:Render.Scientific ~base:10
        (mk [ d 1; d 2; d 3; h; h ] 6))
 
+(* The layout rules as plain string assembly: the reference the
+   exact-length renderer must match byte for byte, on every notation,
+   on each side of the radix point (k <= 0, 0 < k < n, k >= n), with
+   '#' marks, and in bases whose exponent marker is '^'. *)
+let reference_layout ~notation ~neg ~k ~base chars =
+  let n = String.length chars in
+  let positional =
+    match notation with
+    | Render.Positional -> true
+    | Render.Scientific -> false
+    | Render.Auto -> k > -6 && k - n <= 21 && k <= 21
+  in
+  let body =
+    if positional then
+      if k <= 0 then "0." ^ String.make (-k) '0' ^ chars
+      else if k < n then String.sub chars 0 k ^ "." ^ String.sub chars k (n - k)
+      else chars ^ String.make (k - n) '0' ^ ".0"
+    else
+      (if n <= 1 then if n = 0 then "0" else chars
+       else String.sub chars 0 1 ^ "." ^ String.sub chars 1 (n - 1))
+      ^ String.make 1 (Render.exponent_marker base)
+      ^ string_of_int (k - 1)
+  in
+  (if neg then "-" else "") ^ body
+
+let test_render_layout_grid () =
+  List.iter
+    (fun base ->
+      for n = 0 to 24 do
+        let digit i = (i * 7 + 3) mod base in
+        let hashes = n / 3 in
+        let free = Array.init n digit in
+        let fixed =
+          Array.init n (fun i ->
+              if i >= n - hashes then Fixed_format.Hash
+              else Fixed_format.Digit (digit i))
+        in
+        let chars a = String.init n (fun i -> a i) in
+        let free_chars = chars (fun i -> Render.digit_char free.(i)) in
+        let fixed_chars =
+          chars (fun i ->
+              match fixed.(i) with
+              | Fixed_format.Digit d -> Render.digit_char d
+              | Fixed_format.Hash -> '#')
+        in
+        for k = -30 to 30 do
+          List.iter
+            (fun notation ->
+              List.iter
+                (fun neg ->
+                  let name = Printf.sprintf "base %d n %d k %d" base n k in
+                  Alcotest.(check string) ("free " ^ name)
+                    (reference_layout ~notation ~neg ~k ~base free_chars)
+                    (Render.free ~notation ~neg ~base
+                       { Free_format.digits = free; k });
+                  Alcotest.(check string) ("fixed " ^ name)
+                    (reference_layout ~notation ~neg ~k ~base fixed_chars)
+                    (Render.fixed ~notation ~neg ~base
+                       { Fixed_format.digits = fixed; k }))
+                [ false; true ])
+            [ Render.Auto; Render.Positional; Render.Scientific ]
+        done
+      done)
+    [ 2; 10; 14; 15; 36 ]
+
 (* ------------------------------------------------------------------ *)
 (* Float-level API *)
 
@@ -257,6 +322,7 @@ let () =
         [
           Alcotest.test_case "free" `Quick test_render_free;
           Alcotest.test_case "fixed" `Quick test_render_fixed;
+          Alcotest.test_case "layout grid" `Quick test_render_layout_grid;
         ] );
       ( "printer-api",
         [
