@@ -8,8 +8,9 @@
    - showcase: the in-text examples (1e23, # marks)
    - ablation: estimator accuracy (ours, E7)
    - sweep:    scaling cost by magnitude, the series behind Table 2 (ours)
-   - reader:   certified fast paths vs exact (reader tiers, Gay fixed
-               format; ours, E9)
+   - reader:   certified fast paths vs exact (reader tiers against the
+               exact reader and libc, Gay fixed format; ours, E9;
+               writes BENCH_reader.json)
    - service:  sequential vs supervised parallel streaming (ours, E10)
    - bignum:   substrate microbenchmarks (ours, E8)
    - kernel:   allocation-free digit loop vs pure-Nat reference
@@ -278,44 +279,132 @@ let sweep () =
     \   is flat — the mechanism behind Table 2)\n"
 
 (* ------------------------------------------------------------------ *)
-(* Reader tiers and the Gay fixed-format fast path (ablations, ours) *)
+(* Reader tiers and the Gay fixed-format fast path (ablations, ours)
+
+   The tiered reader against the exact bignum reader and libc's
+   [float_of_string], on the Schryer corpus written shortest (the
+   strings closest to rounding boundaries) and on uniform-random-bit
+   doubles written with %.17g.  Writes BENCH_reader.json and fails on
+   its floors: at most [reader_max_words] minor words per fast read
+   (a deterministic count), a bignum fallback rate of at most
+   [reader_max_fallback], and at least [reader_min_speedup] times the
+   exact reader's throughput. *)
+
+let reader_max_words = 8.0
+let reader_max_fallback = 0.005
+let reader_min_speedup = 10.0
+
+type read_cost = { ns : float; words : float }
+
+(* Warm up, then repeat whole passes until the CPU clock has run long
+   enough to dwarf its resolution.  The minor-word delta over those
+   passes counts the reads' allocation exactly, plus a few words per
+   pass for the clock reads. *)
+let read_cost strings read =
+  let n = Array.length strings in
+  let pass () = Array.iter read strings in
+  pass ();
+  Gc.full_major ();
+  let w0 = Gc.minor_words () in
+  let t0 = Sys.time () in
+  let reps = ref 0 in
+  while !reps < 3 || Sys.time () -. t0 < 0.2 do
+    pass ();
+    incr reps
+  done;
+  let t = Sys.time () -. t0 in
+  let w1 = Gc.minor_words () in
+  let reads = float_of_int (n * !reps) in
+  { ns = t /. reads *. 1e9; words = (w1 -. w0) /. reads }
 
 let reader_bench ~size () =
-  Printf.printf "%s\nReader: certified fast path vs exact (Clinger-style)\n"
-    line;
-  let corpus = Workloads.Schryer.corpus ~size () in
-  (* shortest strings: the adversarial inputs closest to boundaries *)
-  let strings = Array.map Dragon.Printer.print corpus in
-  let _, t_exact =
-    time_cpu (fun () ->
-        Array.iter
-          (fun s ->
-            match Reader.read_float s with
-            | Ok x -> sink := !sink + int_of_float x land 1
-            | Error _ -> ())
-          strings)
-  in
-  let before = Reader.Fast.stats () in
-  let _, t_fast =
-    time_cpu (fun () ->
-        Array.iter
-          (fun s ->
-            match Reader.Fast.read s with
-            | Ok x -> sink := !sink + int_of_float x land 1
-            | Error _ -> ())
-          strings)
-  in
-  let after = Reader.Fast.stats () in
-  Printf.printf "  exact bignum reader: %8.3f s\n" t_exact;
-  Printf.printf "  tiered fast reader:  %8.3f s  (%.1fx)\n" t_fast
-    (t_exact /. t_fast);
   Printf.printf
-    "  tiers on this corpus: %d hardware-exact, %d extended-certified, %d \
-     bignum fallback\n"
-    (after.Reader.Fast.exact - before.Reader.Fast.exact)
-    (after.Reader.Fast.extended - before.Reader.Fast.extended)
-    (after.Reader.Fast.fallback - before.Reader.Fast.fallback);
+    "%s\nReader: tiered fast reader vs exact reader vs libc (%d strings per \
+     corpus)\n"
+    line size;
+  let corpora =
+    [
+      ("schryer", Array.map Dragon.Printer.print (Workloads.Schryer.corpus ~size ()));
+      ( "random",
+        Array.map (Printf.sprintf "%.17g")
+          (Workloads.Corpus.random_finite ~seed:42 size) );
+    ]
+  in
+  let ok = function Ok _ -> incr sink | Error _ -> () in
+  let failed = ref false in
+  let floor cond fmt =
+    Printf.ksprintf
+      (fun msg ->
+        if not cond then begin
+          Printf.eprintf "FAIL: %s\n" msg;
+          failed := true
+        end)
+      fmt
+  in
+  let results =
+    List.map
+      (fun (name, strings) ->
+        let before = Reader.Fast.stats () in
+        Array.iter (fun s -> ok (Reader.Fast.read s)) strings;
+        let after = Reader.Fast.stats () in
+        let exact = after.Reader.Fast.exact - before.Reader.Fast.exact
+        and extended = after.Reader.Fast.extended - before.Reader.Fast.extended
+        and fallback = after.Reader.Fast.fallback - before.Reader.Fast.fallback in
+        let fallback_rate =
+          float_of_int fallback /. float_of_int (max 1 (Array.length strings))
+        in
+        let libc =
+          read_cost strings (fun s ->
+              ignore (Sys.opaque_identity (float_of_string s)))
+        in
+        let fast = read_cost strings (fun s -> ok (Reader.Fast.read s)) in
+        let exact_r = read_cost strings (fun s -> ok (Reader.read_float s)) in
+        let speedup = exact_r.ns /. fast.ns in
+        Printf.printf "\n  %s corpus:\n" name;
+        List.iter
+          (fun (what, c) ->
+            Printf.printf "  %-22s %9.1f ns/read %8.2f minor words/read\n" what
+              c.ns c.words)
+          [ ("libc float_of_string", libc); ("Reader.Fast.read", fast);
+            ("exact bignum reader", exact_r) ];
+        Printf.printf
+          "  tiers: %d hardware-exact / %d table-certified / %d bignum \
+           fallback (%.3f%% fallback); %.1fx over the exact reader\n"
+          exact extended fallback (100.0 *. fallback_rate) speedup;
+        floor (fast.words <= reader_max_words)
+          "%s: %.2f minor words per fast read above the %.0f ceiling" name
+          fast.words reader_max_words;
+        floor (fallback_rate <= reader_max_fallback)
+          "%s: fast-reader fallback rate %.3f%% above the %.1f%% ceiling" name
+          (100.0 *. fallback_rate) (100.0 *. reader_max_fallback);
+        floor (speedup >= reader_min_speedup)
+          "%s: fast-reader speedup %.2fx below the %.0fx floor" name speedup
+          reader_min_speedup;
+        let cost c =
+          Printf.sprintf "{ \"ns_per_read\": %.1f, \"minor_words_per_read\": %.2f }"
+            c.ns c.words
+        in
+        Printf.sprintf
+          "  \"%s\": {\n\
+          \    \"libc\": %s,\n\
+          \    \"fast\": %s,\n\
+          \    \"exact\": %s,\n\
+          \    \"tiers\": { \"hardware_exact\": %d, \"table_certified\": %d, \
+           \"bignum_fallback\": %d },\n\
+          \    \"fallback_rate\": %.5f,\n\
+          \    \"speedup_vs_exact\": %.2f\n\
+          \  }"
+          name (cost libc) (cost fast) (cost exact_r) exact extended fallback
+          fallback_rate speedup)
+      corpora
+  in
+  let oc = open_out "BENCH_reader.json" in
+  Printf.fprintf oc "{\n  \"size\": %d,\n%s\n}\n" size
+    (String.concat ",\n" results);
+  close_out oc;
+  Printf.printf "  wrote BENCH_reader.json\n";
   (* Gay's fixed-format fast path *)
+  let corpus = Workloads.Schryer.corpus ~size () in
   let values = Array.map decompose_pos corpus in
   let _, t_naive =
     time_cpu (fun () ->
@@ -345,7 +434,8 @@ let reader_bench ~size () =
   Printf.printf "  certified fast path: %8.3f s  (%.1fx; %d hits, %d fallbacks)\n"
     t_gay (t_naive /. t_gay)
     (Baselines.Gay_heuristic.fast_path_hits () - h0)
-    (Baselines.Gay_heuristic.fallbacks () - f0)
+    (Baselines.Gay_heuristic.fallbacks () - f0);
+  if !failed then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Bignum substrate microbenchmarks *)
@@ -1136,12 +1226,13 @@ let () =
   in
   parse (List.tl args);
   (* [bench -- all]: regenerate every committed BENCH_*.json in one run
-     (kernel, telemetry, daemon) — the CI bench step drives this and
-     uploads the refreshed files as artifacts; any bench that fails its
-     own acceptance check (wrong daemon outputs, fast-path speedup
-     under the floor) exits nonzero and fails the step loudly. *)
+     (kernel, reader, telemetry, daemon) — the CI bench step drives this
+     and uploads the refreshed files as artifacts; any bench that fails
+     its own acceptance check (wrong daemon outputs, a fast path under
+     its speedup, allocation or fallback floor) exits nonzero and fails
+     the step loudly. *)
   if List.mem "all" !sections then
-    sections := [ "kernel"; "telemetry"; "daemon" ];
+    sections := [ "kernel"; "reader"; "telemetry"; "daemon" ];
   let has s = !sections = [] || List.mem s !sections in
   let pick default = if !size > 0 then !size else default in
   if has "table2" then table2 ~size:(pick 8_000) ();

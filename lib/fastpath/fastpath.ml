@@ -51,7 +51,10 @@
    dispatcher) because it cannot reproduce the reference pipeline's
    trip sites; it {e does} honor per-request deadlines and digit
    budgets by consulting {!Robust.Budget.check_output_digits} with the
-   same per-digit cadence as the reference loop. *)
+   same per-digit cadence as the reference loop.
+
+   The reader's table-certified tier (end of file) runs on the same
+   table, pool and exact product. *)
 
 module Metrics = Telemetry.Metrics
 module Pow10_table = Pow10_table
@@ -186,9 +189,11 @@ let[@lint.no_alloc] load_entry (win [@lint.width 28])
 
 (* winp <- f · c, exactly, in 28-bit limbs: f = f1·2^28 + f0 against the
    five limbs of c already loaded in [winc].  Splitting f keeps every
-   partial product at or below 2^56 with carry headroom to spare. *)
+   partial product below 2^60 with carry headroom to spare.  The printer
+   passes a 53-bit mantissa, the reader a 60-bit normalized digit
+   string; either way f·c < 2^188 fits the seven product limbs. *)
 let[@lint.no_alloc] fill_product (winp [@lint.width 28]) (winc [@lint.width 28])
-    (f [@lint.width 53]) =
+    (f [@lint.width 60]) =
   let c0 = Array.unsafe_get winc 0
   and c1 = Array.unsafe_get winc 1
   and c2 = Array.unsafe_get winc 2
@@ -217,7 +222,10 @@ let[@lint.no_alloc] fill_product (winp [@lint.width 28]) (winc [@lint.width 28])
   Array.unsafe_set winp 3 (s3 land mask28);
   Array.unsafe_set winp 4 (s4 land mask28);
   Array.unsafe_set winp 5 (s5 land mask28);
-  Array.unsafe_set winp 6 s6
+  (* f·c < 2^188, so the top limb holds at most 20 bits: mask28 is an
+     identity (c's top limb is below 2^16, which the element width
+     cannot express) *)
+  Array.unsafe_set winp 6 (s6 land mask28)
 [@@lint.certified_width 62]
 
 (* Interval comparisons on (hi, lo) frames.  All approximations are
@@ -638,4 +646,97 @@ let convert_fixed ~f ~e ~mantissa_bits ~narrow ~high_ok ~est ~relative ~pos =
           k = (r land 0xfff) - 1024;
         }
     end
+  end
+
+(* ------------------------------------------------------------------ *)
+(* The reader's table-certified tier
+
+   The input side of the same table and product.  The reader hands in
+   the leading digits of a decimal as w < 10^18 and its exponent q; the
+   true value V is w·10^q, or lies in (w, w+1)·10^q when nonzero digits
+   were dropped after w ([truncated]).  With w normalized to
+   ws = w·2^s ∈ [2^59, 2^60) and 10^q = (c + θ)·2^gamma (θ ∈ [0,1)):
+
+     V·2^(s-gamma) ∈ [L, H),  L = ws·c,  H = (ws + δ)(c + 1),
+
+   δ = 2^s when truncated, else 0.  L < 2^188 is the exact seven-limb
+   product; its top bit is 186 or 187, which fixes the unit
+   u = 2^(128+k), k = 6 or 7, of a 53-bit significand.  Every value of
+   [L, H) rounds to the same significand j when floor((L + u/2)/u) =
+   floor((H - 1 + u/2)/u) = j and L + u/2 is not a multiple of u (then
+   no tie point lies in the interval).  In units of 2^128, with
+   T = floor(L/2^128) and M = the next 56 bits of L:
+
+   - the low end is exactly floor((T + u/2)/u): L's bits below 2^128
+     cannot reach the next multiple of u;
+   - L + (H - L) - 1 < T·2^128 + (M + 2 + δ(C + 1))·2^72 for
+     C = floor(c/2^72), so the high end is at most
+     floor((T + carry + u/2)/u) with carry the spill of that sum over
+     bit 128;
+   - L + u/2 is a multiple of u only when L's low 128 bits are zero
+     and T + u/2 is a multiple of u, so M = 0 with T on a half unit is
+     treated as a possible tie (exactly representable values, whose
+     low bits are zero too, have T on a whole unit).
+
+   Subnormal and overflowing results are uncertain too: the exact
+   reader owns gradual underflow and infinity. *)
+
+(* The verdict "uncertain"; below every encoded result. *)
+let uncertain = min_int
+
+let mask52 = (1 lsl 52) - 1
+
+(* Returns the correctly rounded binary64 as its IEEE bit pattern minus
+   that of 1.0, which keeps every normal inside a native int, or
+   [uncertain].  Callers check w ∈ [1, 2^60) and q against the table. *)
+let[@lint.no_alloc] read_run p ~w:(w [@lint.width 60])
+    ~q:(q [@lint.width_signed 10]) ~truncated =
+  (* b = floor(log2 w) by binary search; the steps sum to 59 *)
+  let b = if w >= 1 lsl 29 then 29 else 0 in
+  let b = if w >= 1 lsl (b + 15) then b + 15 else b in
+  let b = if w >= 1 lsl (b + 8) then b + 8 else b in
+  let b = if w >= 1 lsl (b + 4) then b + 4 else b in
+  let b = if w >= 1 lsl (b + 2) then b + 2 else b in
+  let b = if w >= 1 lsl (b + 1) then b + 1 else b in
+  let s = 59 - b in
+  (* A truncated w has 18 digits (w ≥ 10^17 > 2^56), so s ≤ 3. *)
+  if truncated && s > 3 then uncertain
+  else begin
+    (* w < 2^(b+1): mask60 is an identity *)
+    let ws = (w lsl s) land mask60 in
+    let (winc [@lint.width 28]) = p.winc
+    and (winp [@lint.width 28]) = p.winp in
+    load_entry winc q;
+    fill_product winp winc ws;
+    let t = window60 winp 128 and m = window56 winp 72 in
+    let k = if t >= 1 lsl 59 then 7 else 6 in
+    let h = 1 lsl (k - 1) in
+    let y =
+      if truncated then m + 2 + ((window56 winc 72 + 1) lsl (s land 3))
+      else m + 2
+    in
+    let jlo = (t + h) lsr k and jhi = (t + (y lsr 56) + h) lsr k in
+    if jlo <> jhi || (m = 0 && (t + h) land ((1 lsl k) - 1) = 0) then
+      uncertain
+    else begin
+      (* jlo ∈ [2^52, 2^53] and V rounds to jlo·2^(gamma - s + 128 + k);
+         a carry into 2^53 moves up one binade. *)
+      let up = jlo lsr 53 in
+      let be =
+        Array.unsafe_get T.exps (q - T.q_min) - s + 128 + k + 52 + 1023 + up
+      in
+      if be < 1 || be > 2046 then uncertain
+      else ((be - 1023) * (1 lsl 52)) + ((jlo lsr up) land mask52)
+    end
+  end
+[@@lint.certified_width 62]
+
+let read_decimal ~w ~q ~truncated =
+  if w < 1 || w >= 1 lsl 60 || q < T.q_min || q > T.q_max then uncertain
+  else begin
+    (* [read_run] raises nothing and calls back into nothing, so it
+       needs no busy mark of its own; it only stays off a pool that an
+       outer attempt on this domain holds. *)
+    let p = Domain.DLS.get pool_key in
+    if p.busy then uncertain else read_run p ~w ~q ~truncated
   end

@@ -127,3 +127,25 @@ val fixed_fallback_count : unit -> int
     {!convert_fixed} attempts that returned uncertain.  Requests outside
     the dispatch conditions are never attempted and counted in
     neither. *)
+
+val read_decimal : w:int -> q:int -> truncated:bool -> int
+(** The reader's table-certified tier: the correctly rounded
+    (nearest-even) binary64 for a decimal whose leading digits are [w]
+    and whose exponent is [q].  The decimal is exactly [w·10^q] when
+    [truncated] is false; when it is true the input had nonzero digits
+    after [w], and its value lies strictly between [w·10^q] and
+    [(w+1)·10^q].
+
+    One exact product of [w] (normalized to 60 bits) against the
+    table's [c(q)] bounds the value to an interval; the result is
+    returned only when the whole interval rounds to the same binary64
+    normal.  It comes back as its IEEE bit pattern minus that of [1.0]
+    (add [Int64.bits_of_float 1.0] to rebuild it), which keeps every
+    normal double inside a native int.  Ties, subnormals, overflow, [q]
+    outside the table and [w] outside [1, 2^60) return {!uncertain}, and
+    the caller must then run the exact reader.  Raises nothing, and
+    allocates nothing once the domain's scratch pool exists. *)
+
+val uncertain : int
+(** {!read_decimal}'s "no certified answer" verdict ([min_int], below
+    every encoded result). *)

@@ -23,9 +23,10 @@ let guarded f = Result.join (Error.catch f)
 (* ------------------------------------------------------------------ *)
 (* Parsing *)
 
-let parse_body s =
+(* Everything but the input-length budget check, which [parse_body]
+   makes first and the fast reader makes before its own scan. *)
+let parse_text s =
   let len = String.length s in
-  Budget.check_input_length len;
   let pos = ref 0 in
   let error what = Error (Error.syntax ~pos:!pos ~input:s what) in
   if len = 0 then Error (Error.syntax ~input:s "empty string")
@@ -109,7 +110,12 @@ let parse_body s =
       end
   end
 
+let parse_body s =
+  Budget.check_input_length (String.length s);
+  parse_text s
+
 let parse s = guarded (fun () -> parse_body s)
+let parse_prechecked s = guarded (fun () -> parse_text s)
 
 (* ------------------------------------------------------------------ *)
 (* Fast rejection of extreme magnitudes (Lemire-style gate)

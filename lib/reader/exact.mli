@@ -35,6 +35,11 @@ val parse : string -> (parsed, Robust.Error.t) result
     representable range, and settled by the fast-reject gate); inputs
     longer than the {!Robust.Budget} cap return a budget error. *)
 
+val parse_prechecked : string -> (parsed, Robust.Error.t) result
+(** {!parse} without its input-length budget check, for a caller that
+    has already run [Robust.Budget.check_input_length] on the same
+    string (the fast reader, whose scanner makes that check first). *)
+
 val read_decimal :
   ?mode:Fp.Rounding.mode -> Fp.Format_spec.t -> decimal -> Fp.Value.t
 (** Correctly rounded conversion of an exact decimal into the format.

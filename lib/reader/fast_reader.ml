@@ -10,7 +10,7 @@ let tier_counter tier =
   Telemetry.Metrics.counter
     ~labels:[ ("tier", tier) ]
     ~help:"Reader conversions by tier: hardware-exact fast path, \
-           extended-precision certified, or exact bignum fallback."
+           table-certified, or exact bignum fallback."
     "bdprint_reader_tier_total"
 [@@lint.can_raise
   Invalid_argument
@@ -36,102 +36,132 @@ let exact_pow10 =
 
 let two53 = 9007199254740992 (* 2^53 *)
 
-let fallback (d : Exact.decimal) =
-  (Telemetry.Metrics.incr n_fallback)
-  [@lint.always_on "tier counters back the always-available stats contract"];
-  Fp.Ieee.compose (Exact.read_decimal Fp.Format_spec.binary64 d)
-[@@lint.can_raise
-  Assert_failure
-  (* raising internal: inherits [Exact.read_decimal]'s contract; the
-     public [read] wraps every tier under [catch] *)]
+(* Significant digits the scanner keeps: 10^18 < 2^60 fits the table
+   product's multiplicand, and 19 digits would overflow a native int. *)
+let max_kept = 18
 
-(* Tier 2: extended-precision scaling with certification.  [m] is the
-   leading (up to 18) decimal digits as an int, [scale] the power of ten
-   to apply, [truncated] whether digits were dropped. *)
-let extended_tier (d : Exact.decimal) m scale truncated =
-  if scale < -350 || scale > 350 then fallback d
-  else begin
-    let y = Ext64.mul (Ext64.of_int m) (Ext64.pow10_correct scale) in
-    (* value = y.m * 2^(y.e); the most significant bit sits at 2^(y.e+63).
-       Stay clear of denormals and overflow, where 53-bit rounding is not
-       the whole story. *)
-    if y.Ext64.e + 63 < -1021 || y.Ext64.e + 64 > 1023 then fallback d
-    else begin
-      let kept = Int64.shift_right_logical y.Ext64.m 11 in
-      let dropped = Int64.to_int (Int64.logand y.Ext64.m 0x7FFL) in
-      (* error budget in units of the dropped field's lsb (2^-63 relative):
-         ~1 ulp of 2^-64 from the correctly rounded table and the rounded
-         multiplication, plus the digit truncation (bounded by 10^-17
-         relative for an 18-digit mantissa). *)
-      let budget = if truncated then 200 else 6 in
-      if abs (dropped - 1024) <= budget then fallback d
-      else begin
-        (Telemetry.Metrics.incr n_extended)
-        [@lint.always_on "tier counters back the always-available stats contract"];
-        let up = dropped > 1024 in
-        let mant = Int64.add kept (if up then 1L else 0L) in
-        let x = Float.ldexp (Int64.to_float mant) (y.Ext64.e + 11) in
-        if d.Exact.neg then -.x else x
-      end
-    end
-  end
-[@@lint.can_raise
-  Assert_failure
-  (* raising internal: [Ext64] preconditions and the bignum fallback;
-     the public [read] wraps every tier under [catch] *)]
+(* Same clamp as the exact parser: anything at it is far outside every
+   format and settled by the exact reader's fast-reject gate. *)
+let exp_clamp = 2_000_000_000
 
-let read_decimal (d : Exact.decimal) =
-  if Nat.is_zero d.Exact.digits then if d.Exact.neg then -0. else 0.
-  else begin
-    match Nat.to_int_opt d.Exact.digits with
-    | Some m when m <= two53 && abs d.Exact.exp10 <= 22 ->
-      (* Tier 1 (Clinger): both operands exact, one IEEE operation *)
-      (Telemetry.Metrics.incr n_exact)
-      [@lint.always_on "tier counters back the always-available stats contract"];
-      let x =
-        if d.Exact.exp10 >= 0 then
-          float_of_int m *. exact_pow10.(d.Exact.exp10)
-        else float_of_int m /. exact_pow10.(-d.Exact.exp10)
-      in
-      if d.Exact.neg then -.x else x
-    | Some m when m < 1_000_000_000_000_000_000 ->
-      extended_tier d m d.Exact.exp10 false
-    | _ ->
-      (* truncate to the leading 18 digits *)
-      let digits = Nat.to_base_digits ~base:10 d.Exact.digits in
-      let len = Array.length digits in
-      if len <= 18 then
-        (* small digit count but large magnitude: to_int must succeed *)
-        extended_tier d
-          ((Nat.to_int_exn d.Exact.digits)
-           [@lint.can_raise Invalid_argument] (* <= 18 digits fits an int *))
-          d.Exact.exp10 false
-      else begin
-        let m = ref 0 in
-        for i = 0 to 17 do
-          m := (!m * 10) + digits.(i)
-        done;
-        let truncated =
-          let rest = ref false in
-          for i = 18 to len - 1 do
-            if digits.(i) <> 0 then rest := true
-          done;
-          !rest
-        in
-        extended_tier d !m (d.Exact.exp10 + len - 18) truncated
-      end
-  end
-[@@lint.can_raise
-  Assert_failure
-  (* deliberate raising API: tier dispatch over raising internals; the
-     public [read] guards it, bare callers (benches) accept aborts *)]
-
-let read s =
+(* The exact path, for everything the scanner does not decide: text
+   outside the plain grammar ([_] separators, [inf]/[nan], malformed
+   input, whose structured errors come from [Exact.parse] itself) and
+   uncertain verdicts.  The bignum is built here and only here. *)
+let exact_path s =
   Result.join
     (Robust.Error.catch (fun () ->
-         match Exact.parse s with
+         match Exact.parse_prechecked s with
          | Error _ as e -> e
          | Ok (Exact.Infinity neg) ->
            Ok (if neg then Float.neg_infinity else Float.infinity)
          | Ok Exact.Not_a_number -> Ok Float.nan
-         | Ok (Exact.Number d) -> Ok (read_decimal d)))
+         | Ok (Exact.Number d) ->
+           if Nat.is_zero d.Exact.digits then Ok (if d.Exact.neg then -0. else 0.)
+           else begin
+             (Telemetry.Metrics.incr n_fallback)
+             [@lint.always_on
+               "tier counters back the always-available stats contract"];
+             Ok (Fp.Ieee.compose (Exact.read_decimal Fp.Format_spec.binary64 d))
+           end))
+
+(* The tiers on a scanned decimal: the value is w·10^q, or lies in
+   (w, w+1)·10^q when [truncated]. *)
+let decide s ~neg ~w ~q ~truncated =
+  if w = 0 then Ok (if neg then -0. else 0.)
+  else if (not truncated) && w <= two53 && q >= -22 && q <= 22 then begin
+    (* Hardware-exact (Clinger): both operands exact, one IEEE
+       operation *)
+    (Telemetry.Metrics.incr n_exact)
+    [@lint.always_on "tier counters back the always-available stats contract"];
+    let x =
+      if q >= 0 then float_of_int w *. Array.unsafe_get exact_pow10 q
+      else float_of_int w /. Array.unsafe_get exact_pow10 (-q)
+    in
+    Ok (if neg then -.x else x)
+  end
+  else begin
+    let r = Fastpath.read_decimal ~w ~q ~truncated in
+    if r = Fastpath.uncertain then exact_path s
+    else begin
+      (Telemetry.Metrics.incr n_extended)
+      [@lint.always_on "tier counters back the always-available stats contract"];
+      (* r is the result's bit pattern relative to 1.0's; adding ±1.0's
+         pattern rebuilds ±x *)
+      Ok
+        (Int64.float_of_bits
+           (Int64.add (Int64.of_int r)
+              (if neg then 0xBFF0_0000_0000_0000L else 0x3FF0_0000_0000_0000L)))
+    end
+  end
+
+(* One pass over [+-]? digits [. digits]? ([eE] [+-]? digits)?, keeping
+   the first [max_kept] significant digits in a native int.  Dropped
+   digits move the decimal exponent and, when any is nonzero, set
+   [truncated].  Anything else goes to the exact path whole. *)
+let scan s =
+  let len = String.length s in
+  let i = ref 0 in
+  let neg = len > 0 && String.unsafe_get s 0 = '-' in
+  if len > 0 && (neg || String.unsafe_get s 0 = '+') then i := 1;
+  let w = ref 0 and kept = ref 0 and dropped = ref 0 in
+  let truncated = ref false and digits = ref 0 in
+  (* digits after the point, -1 before it *)
+  let frac = ref (-1) in
+  let continue = ref true in
+  while !continue && !i < len do
+    match String.unsafe_get s !i with
+    | '0' .. '9' as c ->
+      let d = Char.code c - Char.code '0' in
+      incr digits;
+      if !kept < max_kept then begin
+        (* leading zeros are not significant *)
+        if !kept > 0 || d > 0 then begin
+          w := (!w * 10) + d;
+          incr kept
+        end
+      end
+      else begin
+        incr dropped;
+        if d > 0 then truncated := true
+      end;
+      if !frac >= 0 then incr frac;
+      incr i
+    | '.' when !frac < 0 ->
+      frac := 0;
+      incr i
+    | _ -> continue := false
+  done;
+  (* the decimal exponent that [w] carries before any [e] part *)
+  let shift = !dropped - max 0 !frac in
+  if !digits = 0 then exact_path s
+  else if !i = len then decide s ~neg ~w:!w ~q:shift ~truncated:!truncated
+  else if String.unsafe_get s !i <> 'e' && String.unsafe_get s !i <> 'E' then
+    exact_path s
+  else begin
+    incr i;
+    let esign =
+      if !i < len && String.unsafe_get s !i = '-' then (
+        incr i;
+        -1)
+      else (
+        if !i < len && String.unsafe_get s !i = '+' then incr i;
+        1)
+    in
+    let start = !i and v = ref 0 in
+    while !i < len && String.unsafe_get s !i >= '0' && String.unsafe_get s !i <= '9' do
+      if !v < exp_clamp then
+        v := (!v * 10) + (Char.code (String.unsafe_get s !i) - Char.code '0');
+      incr i
+    done;
+    (* no exponent digits, or trailing text: the exact path reports it *)
+    if !i = start || !i <> len then exact_path s
+    else
+      decide s ~neg ~w:!w ~q:((esign * min !v exp_clamp) + shift)
+        ~truncated:!truncated
+  end
+
+let read s =
+  match Robust.Budget.check_input_length (String.length s) with
+  | () -> scan s
+  | exception Robust.Error.E e -> Error e

@@ -9,8 +9,10 @@
      [Dragon.Printer.print_value], for binary64 and binary16;
    - round-trip: any successfully read value prints and reads back
      [Value.equal];
-   - differential: on well-formed moderate inputs the fast reader, the
-     exact reader and the host [strtod] agree bit for bit;
+   - differential: the fast reader returns the exact reader's bits or
+     its structured error on every input; on well-formed moderate
+     inputs, exact midpoints between doubles and 19-45 digit mantissas
+     the host [strtod] agrees bit for bit too;
    - fixed format: output never sits more than half an output quantum
      from the exact value;
    - fault tolerance: with each injection point armed, the pipeline
@@ -41,9 +43,29 @@ let no_raise what input f =
     Alcotest.failf "%s raised %s on %S" what (Printexc.to_string exn)
       (short input)
 
+(* The tiered fast reader against the exact reader: the same bits, or
+   the same structured error. *)
+let fast_agrees input =
+  let bits = Int64.bits_of_float in
+  match
+    ( no_raise "Fast.read" input (fun () -> R.Fast.read input),
+      no_raise "read_float" input (fun () -> R.read_float input) )
+  with
+  | Ok x, Ok y ->
+    if not (Int64.equal (bits x) (bits y) || (Float.is_nan x && Float.is_nan y))
+    then Alcotest.failf "fast/exact mismatch on %S: %h vs %h" (short input) x y
+  | Error e, Error f when Robust.Error.equal e f -> ()
+  | a, b ->
+    let show = function
+      | Ok x -> Printf.sprintf "%h" x
+      | Error e -> Robust.Error.to_string e
+    in
+    Alcotest.failf "fast/exact disagree on %S: %s vs %s" (short input) (show a)
+      (show b)
+
 (* The core totality + round-trip obligation for one input string. *)
 let check_one fmt input =
-  ignore (no_raise "Fast.read" input (fun () -> R.Fast.read input));
+  if fmt == b64 then fast_agrees input;
   match no_raise "read" input (fun () -> R.read fmt input) with
   | Error _ -> ()
   | Ok v -> (
@@ -98,6 +120,71 @@ let test_plain_differential () =
       Alcotest.failf "host strtod disagrees on %S: %h vs our %h" input host
         exact
     | _ -> ()
+  done
+
+(* The table-certified tier's boundaries.  Exact midpoints between
+   adjacent doubles (written in full, with the last digit nudged, cut
+   short, or extended) sit on or next to a rounding boundary; 19-45
+   digit mantissas exercise the truncated interval.  Both readers and
+   the host strtod must agree. *)
+let midpoint st =
+  let x =
+    Int64.float_of_bits
+      (Int64.logor
+         (Int64.shift_left (Int64.of_int (Random.State.int st 2047)) 52)
+         (Random.State.int64 st (Int64.shift_left 1L 52)))
+  in
+  match Fp.Ieee.decompose x with
+  | Value.Finite v ->
+    let mid =
+      { v with Value.f = Bignum.Nat.succ (Bignum.Nat.shift_left v.Value.f 1);
+               e = v.Value.e - 1 }
+    in
+    let digits, k = Oracle.Exact_decimal.exact_digits ~base:10 b64 mid in
+    let n = Array.length digits in
+    let text ds = String.init (Array.length ds) (fun i -> Char.chr (48 + ds.(i))) in
+    let body =
+      match Random.State.int st 5 with
+      | 0 -> text digits
+      | 1 ->
+        digits.(n - 1) <- digits.(n - 1) - 1;
+        text digits
+      | 2 ->
+        digits.(n - 1) <- digits.(n - 1) + 1;
+        text digits
+      | 3 -> text (Array.sub digits 0 (1 + Random.State.int st n))
+      | _ -> text digits ^ String.make (Random.State.int st 20) '0' ^ "1"
+    in
+    Printf.sprintf "%s0.%se%d" (if Random.State.bool st then "-" else "") body k
+  | _ -> "inf"
+
+let long_mantissa st =
+  let n = 19 + Random.State.int st 27 in
+  let digits =
+    String.init n (fun i ->
+        Char.chr (48 + if i = 0 then 1 + Random.State.int st 9 else Random.State.int st 10))
+  in
+  let point = Random.State.int st (n + 1) in
+  Printf.sprintf "%s%s.%se%d"
+    (String.make (if Random.State.int st 4 = 0 then Random.State.int st 30 else 0) '0')
+    (String.sub digits 0 point)
+    (String.sub digits point (n - point))
+    (Random.State.int st 660 - 340)
+
+let test_boundary_differential () =
+  let st = Random.State.make [| seed; 9 |] in
+  for _ = 1 to iters do
+    List.iter
+      (fun input ->
+        fast_agrees input;
+        match (R.read_float input, float_of_string_opt input) with
+        | Ok exact, Some host
+          when not (Int64.equal (Int64.bits_of_float exact) (Int64.bits_of_float host))
+          ->
+          Alcotest.failf "host strtod disagrees on %S: %h vs our %h" (short input)
+            host exact
+        | _ -> ())
+      [ midpoint st; long_mantissa st ]
   done
 
 let test_corpus () =
@@ -535,6 +622,8 @@ let () =
               test_random_totality;
             Alcotest.test_case "plain inputs vs fast reader and host strtod"
               `Slow test_plain_differential;
+            Alcotest.test_case "midpoints and long mantissas vs fast reader"
+              `Slow test_boundary_differential;
             Alcotest.test_case "nasty list and corpus files" `Quick test_corpus;
             Alcotest.test_case "fixed format within half quantum" `Slow
               test_fixed_half_quantum;

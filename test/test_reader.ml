@@ -525,6 +525,162 @@ let test_fault_injection () =
   (* disarmed, everything works again *)
   Alcotest.(check (float 0.)) "recovered" 0.1 (ok_read_float "0.1")
 
+(* ------------------------------------------------------------------ *)
+(* The tiered fast reader on its tiers' edges: bit for bit, and error
+   for error, what the exact reader returns *)
+
+let fast_agrees s =
+  let name = if String.length s <= 60 then s else String.sub s 0 57 ^ "..." in
+  match (R.Fast.read s, R.read_float s) with
+  | Ok x, Ok y ->
+    if
+      not
+        (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+        || (Float.is_nan x && Float.is_nan y))
+    then Alcotest.failf "fast %h <> exact %h on %S" x y name
+  | Error e, Error f ->
+    if not (Robust.Error.equal e f) then
+      Alcotest.failf "fast error %s <> exact error %s on %S"
+        (Robust.Error.to_string e) (Robust.Error.to_string f) name
+  | Ok x, Error f ->
+    Alcotest.failf "fast read %h where exact failed (%s) on %S" x
+      (Robust.Error.to_string f) name
+  | Error e, Ok y ->
+    Alcotest.failf "fast failed (%s) where exact read %h on %S"
+      (Robust.Error.to_string e) y name
+
+(* The exact decimal expansion of the midpoint between positive finite
+   [x] and its successor, as "0.<digits>e<k>", with its last digit
+   nudged by [delta] (the expansion of a binary fraction ends in 5, so
+   +-1 stays a digit). *)
+let midpoint_string ?(delta = 0) x =
+  match Ieee.decompose x with
+  | Value.Finite v ->
+    let mid =
+      { v with Value.f = Nat.succ (Nat.shift_left v.Value.f 1); e = v.Value.e - 1 }
+    in
+    let digits, k =
+      Oracle.Exact_decimal.exact_digits ~base:10 Format_spec.binary64 mid
+    in
+    let n = Array.length digits in
+    digits.(n - 1) <- digits.(n - 1) + delta;
+    Printf.sprintf "0.%se%d"
+      (String.init n (fun i -> Char.chr (Char.code '0' + digits.(i))))
+      k
+  | _ -> Alcotest.failf "midpoint_string: %h is not finite" x
+
+let test_fast_midpoints () =
+  let st = Random.State.make [| 16 |] in
+  let random_normal () =
+    Int64.float_of_bits
+      (Int64.logor
+         (Int64.shift_left (Int64.of_int (1 + Random.State.int st 2046)) 52)
+         (Random.State.int64 st (Int64.shift_left 1L 52)))
+  in
+  let random_subnormal () =
+    Int64.float_of_bits (Random.State.int64 st (Int64.shift_left 1L 52))
+  in
+  let named =
+    [ 1.0; 0.1; 0.5; 1e23; 9007199254740992.; 2.2250738585072014e-308;
+      Float.pred 2.2250738585072014e-308; 5e-324; Float.pred Float.max_float;
+      1.7976931348623157e308 (* midpoint above max_float: overflow cliff *) ]
+  in
+  List.iter
+    (fun x ->
+      List.iter (fun delta -> fast_agrees (midpoint_string ~delta x)) [ -1; 0; 1 ])
+    (named
+    @ List.init 150 (fun _ -> random_normal ())
+    @ List.init 50 (fun _ -> random_subnormal ()))
+
+let test_fast_named_cases () =
+  List.iter fast_agrees
+    [
+      "9007199254740993";
+      "9007199254740993." ^ String.make 30 '0' ^ "1";
+      "2.2250738585072011e-308";
+      "2.2250738585072012e-308";
+      "2.4703282292062327e-324";
+      "2.4703282292062328e-324";
+      "1.7976931348623157e308";
+      "1.7976931348623158e308";
+      "0.5";
+      "0.125";
+      "1e22";
+      "1e23";
+      "-0.5";
+      "-1e23";
+    ];
+  (* the named values themselves, where the exact reader is the oracle *)
+  Alcotest.(check (float 0.)) "0.5" 0.5 (Result.get_ok (R.Fast.read "0.5"));
+  Alcotest.(check (float 0.)) "0.125" 0.125 (Result.get_ok (R.Fast.read "0.125"));
+  Alcotest.(check (float 0.)) "1e23" 1e23 (Result.get_ok (R.Fast.read "1e23"));
+  Alcotest.(check (float 0.)) "9007199254740993 ties to even"
+    9007199254740992. (Result.get_ok (R.Fast.read "9007199254740993"))
+
+let test_fast_long_mantissas () =
+  let st = Random.State.make [| 19 |] in
+  let digits n =
+    String.init n (fun i ->
+        Char.chr
+          (Char.code '0'
+          + if i = 0 then 1 + Random.State.int st 9 else Random.State.int st 10))
+  in
+  for n = 19 to 45 do
+    for _ = 1 to 20 do
+      let d = digits n in
+      let point = Random.State.int st (n + 1) in
+      let e = Random.State.int st 640 - 320 in
+      fast_agrees
+        (Printf.sprintf "%s.%se%d" (String.sub d 0 point)
+           (String.sub d point (n - point)) e);
+      (* 18 significant digits, then only zeros: dropped but exact *)
+      fast_agrees (String.sub d 0 18 ^ String.make (n - 18) '0')
+    done
+  done;
+  (* leading zeros never count toward the 18 kept digits *)
+  List.iter fast_agrees
+    [
+      "0." ^ String.make 30 '0' ^ "1e30";
+      "0." ^ String.make 30 '0' ^ "1e31";
+      String.make 30 '0' ^ "1";
+      String.make 30 '0' ^ "123456789012345678901234567";
+      "0." ^ String.make 25 '0' ^ "123456789012345678901234567e20";
+    ]
+
+let test_fast_grammar_edges () =
+  List.iter fast_agrees
+    [
+      "1."; ".5"; "-0"; "+0"; "-0.0e7"; "1e"; "1e+"; "1e-"; "1_000"; "1_0.5e1";
+      "inf"; "-inf"; "Infinity"; "nan"; "-NaN"; " 1"; "1 "; ""; "+"; "-"; ".";
+      "e5"; "1..2"; "1.2.3"; "1e5.0"; "0x10"; "1e2000000000"; "1e-2000000000";
+      "-1e2000000000"; "1e99999999999999999999"; "0e99999999999999999999";
+    ];
+  (* over the input-length budget: the same structured budget error *)
+  fast_agrees (String.make 100_000 '1');
+  Robust.Budget.with_budget
+    { (Robust.Budget.get ()) with Robust.Budget.max_input_length = 8 }
+    (fun () -> fast_agrees "3.14159265358979")
+
+(* A hit builds no bignum: reading a batch of certified inputs allocates
+   only each result (the [Ok] block and its boxed float). *)
+let test_fast_hit_allocation () =
+  let inputs =
+    [| "0.1"; "6.02214076e23"; "2.2250738585072014e-308"; "123456.789e-30";
+       "1.7976931348623157e308"; "-0.3333333333333333" |]
+  in
+  Array.iter (fun s -> ignore (R.Fast.read s)) inputs;
+  let before = R.Fast.stats () in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Array.iter (fun s -> ignore (Sys.opaque_identity (R.Fast.read s))) inputs
+  done;
+  let words = (Gc.minor_words () -. w0) /. 6000. in
+  let after = R.Fast.stats () in
+  Alcotest.(check int) "no fallback" before.R.Fast.fallback after.R.Fast.fallback;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per hit" words)
+    true (words <= 8.)
+
 let () =
   Alcotest.run "reader"
     [
@@ -559,6 +715,18 @@ let () =
           Alcotest.test_case "subnormal boundaries" `Quick
             test_subnormal_boundaries;
           Alcotest.test_case "fault injection" `Quick test_fault_injection;
+        ] );
+      ( "fast-tier",
+        [
+          Alcotest.test_case "exact midpoints and their neighbours" `Quick
+            test_fast_midpoints;
+          Alcotest.test_case "named hard cases" `Quick test_fast_named_cases;
+          Alcotest.test_case "long mantissas and leading zeros" `Quick
+            test_fast_long_mantissas;
+          Alcotest.test_case "grammar edges and budgets" `Quick
+            test_fast_grammar_edges;
+          Alcotest.test_case "hits allocate only the result" `Quick
+            test_fast_hit_allocation;
         ] );
       ("props", props);
     ]
