@@ -692,17 +692,7 @@ let service_bench ~size () =
     size
     (Domain.recommended_domain_count ());
   let strings = Array.map Dragon.Printer.print (Workloads.Schryer.corpus ~size ()) in
-  let convert input =
-    match
-      Reader.read ~mode:Fp.Rounding.To_nearest_even Fp.Format_spec.binary64
-        input
-    with
-    | Error _ as e -> e
-    | Ok v ->
-      Dragon.Printer.print_value ~base:10 ~mode:Fp.Rounding.To_nearest_even
-        ~strategy:Dragon.Scaling.Fast_estimate ~notation:Dragon.Render.Auto
-        Fp.Format_spec.binary64 v
-  in
+  let convert = Dragon.Printer.line_converter () in
   (* the supervisor adds queueing and reordering, so compare wall time,
      not CPU time *)
   let wall f =
@@ -765,16 +755,13 @@ let daemon_bench ~size () =
   let module Wire = Net.Wire in
   let module Server = Net.Server in
   let module Faults = Robust.Faults in
-  let convert input =
-    match
-      Reader.read ~mode:Fp.Rounding.To_nearest_even Fp.Format_spec.binary64
-        input
-    with
+  let convert = Dragon.Printer.line_converter () in
+  (* the reference the replies are checked against reads with the exact
+     bignum reader, independently of the converter under test *)
+  let reference input =
+    match Reader.read Fp.Format_spec.binary64 input with
     | Error _ as e -> e
-    | Ok v ->
-      Dragon.Printer.print_value ~base:10 ~mode:Fp.Rounding.To_nearest_even
-        ~strategy:Dragon.Scaling.Fast_estimate ~notation:Dragon.Render.Auto
-        Fp.Format_spec.binary64 v
+    | Ok v -> Dragon.Printer.print_value Fp.Format_spec.binary64 v
   in
   (* corpus: Schryer doubles plus a quarter of repeats from a small hot
      set *)
@@ -800,7 +787,8 @@ let daemon_bench ~size () =
   Faults.disarm_all ();
   let expected = Hashtbl.create (2 * size) in
   Array.iter
-    (fun s -> if not (Hashtbl.mem expected s) then Hashtbl.add expected s (convert s))
+    (fun s ->
+      if not (Hashtbl.mem expected s) then Hashtbl.add expected s (reference s))
     inputs;
   List.iter (fun (p, pr) -> Faults.arm ~probability:pr p) armed;
   let in_process, host, port =

@@ -1,6 +1,7 @@
 (* bdprint: command-line floating-point conversion using the Burger-Dybvig
-   algorithms.  Input strings are read with the exact reader into the
-   chosen format, then printed free- or fixed-format.
+   algorithms.  Each input is read into the chosen format, then printed
+   free- or fixed-format, by Dragon.Printer.line_converter: the one line
+   conversion bdprintd and the client's local fallback also run.
 
    Robustness: every failure is a structured Robust.Error — syntax,
    range, budget or internal — and with [--stdin] the tool is a streaming
@@ -242,21 +243,7 @@ let install_trace = function
   | None -> ()
   | Some file ->
     Telemetry.Tracing.set_enabled true;
-    at_exit (fun () ->
-        try
-          let oc = open_out file in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () -> output_string oc (Telemetry.Tracing.to_chrome_json ()))
-        with Sys_error _ -> ())
-
-let is_hex_literal s =
-  let s =
-    if String.length s > 0 && (s.[0] = '-' || s.[0] = '+') then
-      String.sub s 1 (String.length s - 1)
-    else s
-  in
-  String.length s >= 2 && s.[0] = '0' && (s.[1] = 'x' || s.[1] = 'X')
+    at_exit (fun () -> Telemetry.Tracing.write_chrome_json file)
 
 (* Vet the fixed-format request before any conversion runs: misuse
    (--digits 0, --places 1000000) must be a clean structured error up
@@ -275,35 +262,6 @@ let vet_request request =
       Some (Error.budget ~what:"--places" ~limit:cap ~got:(abs j))
     else None
   | None -> None
-
-let convert_one ~base ~mode ~fmt ~strategy ~notation ~request ~hex_out input =
-  let t0 = Telemetry.Tracing.start () in
-  let parsed =
-    if is_hex_literal input then Reader.Hex.read ~mode fmt input
-    else if
-      (* binary64 round-to-nearest-even is the certified fast reader's
-         domain; it proves agreement with the exact reader, so routing
-         through it changes nothing but the tier counters (and speed) *)
-      Fp.Format_spec.equal fmt Fp.Format_spec.binary64
-      && mode = Fp.Rounding.To_nearest_even
-    then Result.map Fp.Ieee.decompose (Reader.Fast.read input)
-    else Reader.read ~mode fmt input
-  in
-  Telemetry.Tracing.finish Telemetry.Tracing.Parse t0;
-  match parsed with
-  | Error _ as e -> e
-  | Ok value -> (
-    match (request, value) with
-    | _ when hex_out -> Ok (Dragon.Printer.print_hex (Fp.Ieee.compose value))
-    | None, _ ->
-      Dragon.Printer.print_value ~base ~mode ~strategy ~notation fmt value
-    | Some _, Fp.Value.Zero neg -> Ok (Dragon.Render.zero ~neg ())
-    | Some _, Fp.Value.Inf neg -> Ok (Dragon.Render.infinity ~neg ())
-    | Some _, Fp.Value.Nan -> Ok Dragon.Render.nan
-    | Some req, Fp.Value.Finite v -> (
-      match Dragon.Fixed_format.convert ~base ~mode fmt v req with
-      | Error _ as e -> e
-      | Ok t -> Ok (Dragon.Render.fixed ~notation ~neg:v.Fp.Value.neg ~base t)))
 
 (* Per-class error accounting shared by the sequential and parallel
    stream drivers; the stream exit code reflects the most severe class
@@ -377,11 +335,6 @@ let g_queue_capacity =
     ~help:"Bounded submission-queue capacity (0 = sequential driver)."
     "bdprint_stream_queue_capacity"
 
-let prom_path json_path =
-  if Filename.check_suffix json_path ".json" then
-    Filename.chop_suffix json_path ".json" ^ ".prom"
-  else json_path ^ ".prom"
-
 (* One exit path for both stream drivers: snapshot the registry once,
    render --stats from it (so sequential and parallel print identical
    fields), dump --metrics files, exit with the class code — or with the
@@ -401,17 +354,7 @@ let finish_stream ~counts ~show_stats ~metrics_file ~interrupted =
       with Unix.Unix_error (_, _, _) -> ()));
   let snap = Telemetry.Snapshot.take () in
   if show_stats then Format.eprintf "%a@.%!" Telemetry.Snapshot.pp_stream snap;
-  (match metrics_file with
-  | None -> ()
-  | Some file ->
-    let write path contents =
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc contents)
-    in
-    write file (Telemetry.Snapshot.to_json snap);
-    write (prom_path file) (Telemetry.Snapshot.to_prometheus snap));
+  Option.iter (Telemetry.Snapshot.write_files snap) metrics_file;
   let errors = total_errors counts in
   if errors > 0 then
     Printf.eprintf "error: %d input line(s) failed\n%!" errors;
@@ -646,16 +589,9 @@ let connect_client ~local ~hedge_ms ~show_stats spec =
   in
   let config = { Client.default_config with Client.hedge_ms } in
   let client = Client.create ~config ~local addrs in
-  (* The client-stats exit line is opt-in — --stats, or the
-     BDPRINT_CLIENT_STATS environment variable for wrapper scripts that
-     cannot reach the flag — so plumbing that parses stderr never meets
-     an unexpected trailer. *)
-  let stats_env =
-    match Sys.getenv_opt "BDPRINT_CLIENT_STATS" with
-    | None | Some "" | Some "0" -> false
-    | Some _ -> true
-  in
-  if show_stats || stats_env then
+  (* the client-stats exit line is opt-in (--stats), so plumbing that
+     parses stderr never meets an unexpected trailer *)
+  if show_stats then
     at_exit (fun () ->
         let s = Client.stats client in
         Printf.eprintf
@@ -729,7 +665,8 @@ let run base mode fmt strategy notation digits places hex_out use_stdin
       | Some e -> `Error (false, Error.to_string e)
       | None -> (
         let convert =
-          convert_one ~base ~mode ~fmt ~strategy ~notation ~request ~hex_out
+          Dragon.Printer.line_converter ~base ~mode ~format:fmt ~strategy
+            ~notation ?request ~hex:hex_out ()
         in
         (* --connect swaps the conversion function for the resilient
            client (remote tiers first, this pipeline as local fallback)

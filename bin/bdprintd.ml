@@ -7,31 +7,17 @@
    drain on SIGTERM/SIGINT — accepted
    requests finish, --metrics files flush, then a clean exit 0.
 
-   The conversion semantics are bdprint's defaults: shortest
-   round-tripping decimal output for binary64, round-to-nearest-even,
-   through the certified fast-path reader.  See docs/SERVICE.md for the
-   protocol. *)
+   Each CONV line is converted by bdprint's line conversion
+   (Dragon.Printer.line_converter) with bdprint's defaults, so the
+   daemon and the CLI read every input the same way: shortest
+   round-tripping decimal output for binary64, round-to-nearest-even.
+   See docs/SERVICE.md for the protocol. *)
 
 open Cmdliner
 module Error = Robust.Error
 module Server = Net.Server
 
-let convert input =
-  match
-    if
-      String.length input > 2
-      && (String.sub input 0 2 = "0x" || String.sub input 0 2 = "0X"
-         || (String.length input > 3
-            && input.[0] = '-'
-            && (String.sub input 1 2 = "0x" || String.sub input 1 2 = "0X")))
-    then Reader.Hex.read ~mode:Fp.Rounding.To_nearest_even Fp.Format_spec.binary64 input
-    else Result.map Fp.Ieee.decompose (Reader.Fast.read input)
-  with
-  | Error _ as e -> e
-  | Ok value ->
-    Dragon.Printer.print_value ~base:10 ~mode:Fp.Rounding.To_nearest_even
-      ~strategy:Dragon.Scaling.Fast_estimate ~notation:Dragon.Render.Auto
-      Fp.Format_spec.binary64 value
+let convert = Dragon.Printer.line_converter ()
 
 let listen_conv =
   let parse s =
@@ -145,25 +131,6 @@ let flight_arg =
            to $(docv) as JSONL — a black-box dump identifying the \
            poisoned request.")
 
-let prom_path json_path =
-  if Filename.check_suffix json_path ".json" then
-    Filename.chop_suffix json_path ".json" ^ ".prom"
-  else json_path ^ ".prom"
-
-let flush_metrics metrics_file =
-  match metrics_file with
-  | None -> ()
-  | Some file ->
-    let snap = Telemetry.Snapshot.take () in
-    let write path contents =
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc contents)
-    in
-    write file (Telemetry.Snapshot.to_json snap);
-    write (prom_path file) (Telemetry.Snapshot.to_prometheus snap)
-
 let print_final_stats (s : Server.stats) =
   Printf.eprintf
     "bdprintd: served %d requests on %d connections: %d ok, %d degraded, \
@@ -232,16 +199,10 @@ let run listen jobs admission deadline_ms stuck_ms show_stats metrics_file
       Printf.printf "bdprintd: listening on %s\n%!" (Server.address server);
       let final = Server.wait server in
       if show_stats then print_final_stats final;
-      flush_metrics metrics_file;
-      (match trace_file with
-      | None -> ()
-      | Some file -> (
-        try
-          let oc = open_out file in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () -> output_string oc (Telemetry.Tracing.to_chrome_json ()))
-        with Sys_error _ -> ()));
+      Option.iter
+        (fun file -> Telemetry.Snapshot.(write_files (take ()) file))
+        metrics_file;
+      Option.iter Telemetry.Tracing.write_chrome_json trace_file;
       Printf.eprintf "bdprintd: drained cleanly\n%!";
       `Ok ()
   end

@@ -169,7 +169,7 @@ let try_fastpath ~base ~mode fmt (v : Value.finite) request =
         match r with
         | None -> None
         | Some r ->
-          Generate.observe_finish r.loop_digits;
+          Robust.Budget.observe_output_digits r.loop_digits;
           let digits = Array.make r.span Hash in
           Array.iteri (fun i d -> digits.(i) <- decimal_digit d) r.digits;
           Some { digits; k = r.k }

@@ -6,15 +6,6 @@ type t = { digits : int array; k : int }
 
 module Tracing = Telemetry.Tracing
 
-(* Shortest-output length per conversion (the paper's "average 15.2
-   digits" distribution), recorded at the free-format entry point. *)
-let h_digits =
-  Telemetry.Metrics.histogram
-    ~help:"Shortest free-format output length in significant digits."
-    ~bounds:[| 1; 2; 4; 6; 8; 10; 12; 14; 16; 17; 18; 20; 24; 32; 64; 256;
-               1024; 8192 |]
-    "bdprint_free_format_digits"
-
 (* Table-driven fast path (see {!Fastpath}): attempted before any Nat
    work when the conversion matches what the Q4.112 kernel certifies —
    decimal output, a binary format with a mantissa in 53 bits, a
@@ -79,9 +70,7 @@ let convert ?(base = 10) ?(mode = Fp.Rounding.To_nearest_even)
   if base < 2 || base > 36 then invalid_arg "Free_format.convert: base";
   match try_fastpath ~base ~mode ~strategy fmt v with
   | Some (digits, k) ->
-    Generate.observe_finish (Array.length digits);
-    if Telemetry.Metrics.enabled () then
-      Telemetry.Metrics.observe h_digits (Array.length digits);
+    Robust.Budget.observe_output_digits (Array.length digits);
     { digits; k }
   | None ->
   let t0 = Tracing.start () in
@@ -96,8 +85,6 @@ let convert ?(base = 10) ?(mode = Fp.Rounding.To_nearest_even)
   let t0 = Tracing.start () in
   let digits = Generate.free ~base ~tie state in
   Tracing.finish Tracing.Generate t0;
-  if Telemetry.Metrics.enabled () then
-    Telemetry.Metrics.observe h_digits (Array.length digits);
   { digits; k }
 
 let digit_count ?base ?mode ?strategy fmt v =

@@ -40,9 +40,6 @@ val free : base:int -> tie:tie -> Boundaries.t -> int array
     (2) — the incremented output would round down to [v] — yields [d+1];
     when both hold the closer one wins. *)
 
-val free_count_only : base:int -> Boundaries.t -> int
-(** Number of digits the loop would produce (used by statistics). *)
-
 type stopped = {
   digits : int array;  (** accepted digits, last one already adjusted *)
   incremented : bool;  (** whether the last digit was rounded up *)
@@ -63,13 +60,6 @@ val set_force_pure : bool -> unit
     startup; tests and benchmarks flip it at runtime. *)
 
 val force_pure : unit -> bool
-
-val observe_finish : int -> unit
-(** Records the digit-loop completion telemetry (loop-iteration
-    histogram plus the output-digit budget observation) for a
-    conversion that emitted this many digits.  Exposed so the
-    table-driven fast path's dispatcher reports its hits through the
-    same instruments as the exact kernels. *)
 
 val fastpath_count : unit -> int
 (** Conversions served by the word-sized fast path since startup (the

@@ -118,3 +118,46 @@ let print_exact ?(base = 10) ?notation x =
   Invalid_argument
   (* documented raising convenience: base validation and the exact
      oracle raise on misuse; daemon paths pre-validate the base *)]
+
+let is_hex_literal s =
+  let n = String.length s in
+  let i = if n > 0 && (s.[0] = '-' || s.[0] = '+') then 1 else 0 in
+  n >= i + 2 && s.[i] = '0' && (s.[i + 1] = 'x' || s.[i + 1] = 'X')
+
+let line_converter ?(base = 10) ?(mode = Fp.Rounding.To_nearest_even)
+    ?(format = Format_spec.binary64) ?(strategy = Scaling.Fast_estimate)
+    ?(notation = Render.Auto) ?request ?(hex = false) () =
+  (* the optional arguments of the per-line calls, boxed once here: a
+     [~mode] passed on every line would allocate a [Some] every line *)
+  let base_o = Some base and mode_o = Some mode in
+  let strategy_o = Some strategy and notation_o = Some notation in
+  (* binary64 round-to-nearest-even is the certified fast reader's
+     domain; it proves agreement with the exact reader, so routing
+     through it changes nothing but the tier counters (and speed) *)
+  let fast_read =
+    Format_spec.equal format Format_spec.binary64
+    && mode = Fp.Rounding.To_nearest_even
+  in
+  fun input ->
+    let t0 = Telemetry.Tracing.start () in
+    let parsed =
+      if is_hex_literal input then Reader.Hex.read ?mode:mode_o format input
+      else if fast_read then
+        Result.map Fp.Ieee.decompose (Reader.Fast.read input)
+      else Reader.read ?mode:mode_o format input
+    in
+    Telemetry.Tracing.finish Telemetry.Tracing.Parse t0;
+    match (parsed, request) with
+    | (Error _ as e), _ -> e
+    | Ok value, _ when hex ->
+      Robust.Error.catch (fun () -> print_hex (Fp.Ieee.compose value))
+    | Ok value, None ->
+      print_value ?base:base_o ?mode:mode_o ?strategy:strategy_o
+        ?notation:notation_o format value
+    | Ok (Value.Zero neg), Some _ -> Ok (Render.zero ~neg ())
+    | Ok (Value.Inf neg), Some _ -> Ok (Render.infinity ~neg ())
+    | Ok Value.Nan, Some _ -> Ok Render.nan
+    | Ok (Value.Finite v), Some req -> (
+      match Fixed_format.convert ?base:base_o ?mode:mode_o format v req with
+      | Error _ as e -> e
+      | Ok t -> Ok (Render.fixed ?notation:notation_o ~neg:v.neg ~base t))

@@ -69,6 +69,30 @@ val print_value_exn :
     float convenience API and the examples).
     @raise Robust.Error.E on what {!print_value} reports as [Error]. *)
 
+(** {2 Line conversion} *)
+
+val line_converter :
+  ?base:int ->
+  ?mode:Fp.Rounding.mode ->
+  ?format:Fp.Format_spec.t ->
+  ?strategy:Scaling.strategy ->
+  ?notation:Render.notation ->
+  ?request:Fixed_format.request ->
+  ?hex:bool ->
+  unit ->
+  string ->
+  (string, Robust.Error.t) result
+(** [line_converter ... ()] is the conversion of one input line that
+    every front end runs: bdprint, bdprintd, the client's local fallback
+    and the benches.  Build it once per run; a call then allocates no
+    optional argument.  The line is read ([parse] span) as a C17 hex
+    literal when it starts [[+-]?0[xX]], by {!Reader.Fast} for binary64
+    round-to-nearest-even and by the exact {!Reader.read} otherwise,
+    then printed in hex when [hex], in fixed format when [request] is
+    given and by {!print_value} otherwise.  Defaults are bdprint's:
+    base 10, nearest-even, binary64, the fast estimator, automatic
+    notation.  Never raises. *)
+
 (** {2 Fast-path dispatch}
 
     Free-format conversions try the table-driven Q4.112 fast path

@@ -37,9 +37,10 @@ val pow10 : int -> t
 
 val pow10_correct : int -> t
 (** [10^n] for [-350 <= n <= 350], correctly rounded to 64 bits (computed
-    with exact integer arithmetic once and memoized).  This is the table
-    the {e certified} fast paths use: with it, a scaled product carries at
-    most ~1 ulp of error, which keeps their fallback rates low. *)
+    with exact integer arithmetic once and memoized), so a scaled product
+    carries at most ~1 ulp of error.  Only the [Gay_heuristic] baseline
+    uses it; the certified fast paths (the shortest and fixed printers
+    and the reader) share {!Fastpath}'s 128-bit power table instead. *)
 
 val to_int64_round : t -> int64
 (** Nearest integer (ties to even).

@@ -485,10 +485,16 @@ let error_of_wire ~input cls detail =
     Error.syntax ~input msg
   | "range" ->
     Error.range ~what:"remote" (strip_prefix "range error: " detail)
-  | "budget" ->
-    Error.budget
-      ~what:("remote: " ^ strip_prefix "budget exceeded: " detail)
-      ~limit:0 ~got:0
+  | "budget" -> (
+    (* [Error.to_string]'s "WHAT: GOT > limit LIMIT", read back, so a
+       remote budget verdict prints as the local one would *)
+    let d = strip_prefix "budget exceeded: " detail in
+    match
+      Scanf.sscanf_opt d "%[^:]: %d > limit %d%!" (fun what got limit ->
+          Error.budget ~what ~limit ~got)
+    with
+    | Some e -> e
+    | None -> Error.budget ~what:("remote: " ^ d) ~limit:0 ~got:0)
   | _ -> Error.internal ~where:"net.client" (cls ^ ": " ^ detail)
 
 let remaining_s deadline =

@@ -304,3 +304,15 @@ let pp_stream ppf t =
         (c ~labels:l "bdprint_service_worker_retried_total")
         (c ~labels:l "bdprint_service_worker_degraded_total"))
     workers
+
+let write_files t json_path =
+  let write path contents =
+    Out_channel.with_open_bin path (fun oc -> output_string oc contents)
+  in
+  let stem =
+    if Filename.check_suffix json_path ".json" then
+      Filename.chop_suffix json_path ".json"
+    else json_path
+  in
+  write json_path (to_json t);
+  write (stem ^ ".prom") (to_prometheus t)

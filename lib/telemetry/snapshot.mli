@@ -59,6 +59,12 @@ val to_json : t -> string
 (** A JSON object [{"metrics": [...]}]; histogram buckets are
     cumulative, mirroring the Prometheus rendering. *)
 
+val write_files : t -> string -> unit
+(** [write_files t file] is the [--metrics FILE] export: {!to_json} to
+    [file] and {!to_prometheus} to [file] with its [.json] suffix
+    replaced by [.prom] ([.prom] appended when it has none).
+    @raise Sys_error when a file cannot be written. *)
+
 val pp_stream : Format.formatter -> t -> unit
 (** The [bdprint --stats] rendering.  Sequential and parallel stream
     runs fill the same metric names and share this one printer, so both

@@ -336,3 +336,9 @@ let to_chrome_json ?pid () =
     (Printf.sprintf "\n],\"displayTimeUnit\":\"ns\",\"otherData\":{\"dropped\":%d}}\n"
        (dropped ()));
   Buffer.contents buf
+
+let write_chrome_json file =
+  try
+    Out_channel.with_open_bin file (fun oc ->
+        output_string oc (to_chrome_json ()))
+  with Sys_error _ -> ()

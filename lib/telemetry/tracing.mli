@@ -130,6 +130,10 @@ val to_chrome_json : ?pid:int -> unit -> string
     thread track per trace id), sorted by start time.  [pid] defaults
     to the process id; tests pin it for golden output. *)
 
+val write_chrome_json : string -> unit
+(** Writes {!to_chrome_json} to the file (the [--trace FILE] export); a
+    file that cannot be written is skipped silently. *)
+
 val clear : unit -> unit
 (** Empties the ring and resets the drop count (tests, TRACE verb). *)
 

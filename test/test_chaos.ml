@@ -22,15 +22,8 @@ module Error = Robust.Error
 module Faults = Robust.Faults
 module Gen = Robust.Gen
 
-let convert input =
-  match
-    Reader.read ~mode:Fp.Rounding.To_nearest_even Fp.Format_spec.binary64 input
-  with
-  | Error _ as e -> e
-  | Ok v ->
-    Dragon.Printer.print_value ~base:10 ~mode:Fp.Rounding.To_nearest_even
-      ~strategy:Dragon.Scaling.Fast_estimate ~notation:Dragon.Render.Auto
-      Fp.Format_spec.binary64 v
+(* the production line conversion, as bdprint and bdprintd run it *)
+let convert = Dragon.Printer.line_converter ()
 
 let n_lines =
   match Sys.getenv_opt "CHAOS_LINES" with

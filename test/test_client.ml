@@ -4,7 +4,8 @@
    the local fallback tier, a 10k-request end-to-end chaos run through
    the client (worker kills, a worker wedge, slow/partial/malformed
    server writes, a daemon restart) asserting zero wrong conversions,
-   and kill -9 failover across real bdprintd subprocesses. *)
+   kill -9 failover across real bdprintd subprocesses, and one answer
+   per input across bdprint, bdprint --connect and a raw CONV. *)
 
 module Client = Net.Client
 module Server = Net.Server
@@ -12,15 +13,8 @@ module Wire = Net.Wire
 module Error = Robust.Error
 module Faults = Robust.Faults
 
-let convert_real input =
-  match
-    Reader.read ~mode:Fp.Rounding.To_nearest_even Fp.Format_spec.binary64 input
-  with
-  | Error _ as e -> e
-  | Ok v ->
-    Dragon.Printer.print_value ~base:10 ~mode:Fp.Rounding.To_nearest_even
-      ~strategy:Dragon.Scaling.Fast_estimate ~notation:Dragon.Render.Auto
-      Fp.Format_spec.binary64 v
+(* the production line conversion, as bdprint and bdprintd run it *)
+let convert_real = Dragon.Printer.line_converter ()
 
 (* tight timeouts and cooldowns so failure paths run in milliseconds *)
 let quick_config =
@@ -747,6 +741,79 @@ let test_connect_addr_exit_codes () =
   Alcotest.(check bool) "hedge-ms needs connect" true
     (run "--hedge-ms 5 0.5" <> 0)
 
+(* {2 Front-end parity}
+
+   One input table through the three front ends — [bdprint --stdin],
+   [bdprint --stdin --connect] to a real bdprintd, and a raw CONV on
+   that daemon's socket — must give the same output, the same error
+   text and the same exit code: all three run one line conversion. *)
+
+let parity_inputs =
+  [
+    "+0x1p0"; "-0x1.8p1"; "0X1P0"; "0x"; "+0x"; "0.1"; "1e23"; "-0"; "1_000";
+    "inf"; " 1";
+    (* one byte over the input-length budget *)
+    String.make ((Robust.Budget.get ()).Robust.Budget.max_input_length + 1) '1';
+  ]
+
+let short s = if String.length s <= 20 then s else String.sub s 0 17 ^ "..."
+
+(* (stdout, the line's error text, exit code) *)
+let via_bdprint args input =
+  let inp = Filename.temp_file "bdprint_parity" ".in" in
+  let out = inp ^ ".out" and err = inp ^ ".err" in
+  Out_channel.with_open_bin inp (fun oc -> output_string oc (input ^ "\n"));
+  let code =
+    Sys.command
+      (Printf.sprintf "%s --stdin %s < %s > %s 2> %s" (bdprint_exe ()) args
+         (Filename.quote inp) (Filename.quote out) (Filename.quote err))
+  in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let stdout = read out and stderr = read err in
+  List.iter Sys.remove [ inp; out; err ];
+  let prefix = "error: line 1: " in
+  let first = List.hd (String.split_on_char '\n' stderr) in
+  let n = String.length prefix in
+  ( stdout,
+    (if String.starts_with ~prefix first then
+       String.sub first n (String.length first - n)
+     else ""),
+    code )
+
+let via_conv port input =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  let line = "CONV " ^ input ^ "\n" in
+  ignore (Unix.write_substring fd line 0 (String.length line));
+  let reply = input_line (Unix.in_channel_of_descr fd) in
+  match Wire.parse_reply_line reply with
+  | Result.Ok (Wire.Converted out) -> (out ^ "\n", "", 0)
+  | Result.Ok (Wire.Failed { cls; detail }) ->
+    ("", detail, match cls with "syntax" | "range" -> 2 | "budget" -> 3 | _ -> 4)
+  | _ -> Alcotest.failf "CONV %S: unexpected reply %S" (short input) reply
+
+let test_front_end_parity () =
+  let pid, ic, port = spawn_daemon () in
+  Fun.protect
+    ~finally:(fun () ->
+      reap pid;
+      close_in_noerr ic)
+  @@ fun () ->
+  let connect = Printf.sprintf "--connect 127.0.0.1:%d" port in
+  let show (out, err, code) = Printf.sprintf "%S %S exit %d" out err code in
+  List.iter
+    (fun input ->
+      let local = via_bdprint "" input in
+      Alcotest.(check string)
+        (Printf.sprintf "%S: --connect = --stdin" (short input))
+        (show local)
+        (show (via_bdprint connect input));
+      Alcotest.(check string)
+        (Printf.sprintf "%S: CONV = --stdin" (short input))
+        (show local) (show (via_conv port input)))
+    parity_inputs
+
 let () =
   Alcotest.run "client"
     [
@@ -786,5 +853,6 @@ let () =
         [
           Alcotest.test_case "--connect exit codes" `Quick
             test_connect_addr_exit_codes;
+          Alcotest.test_case "front-end parity" `Quick test_front_end_parity;
         ] );
     ]

@@ -10,15 +10,8 @@ module Error = Robust.Error
 module Budget = Robust.Budget
 module Faults = Robust.Faults
 
-let convert_real input =
-  match
-    Reader.read ~mode:Fp.Rounding.To_nearest_even Fp.Format_spec.binary64 input
-  with
-  | Error _ as e -> e
-  | Ok v ->
-    Dragon.Printer.print_value ~base:10 ~mode:Fp.Rounding.To_nearest_even
-      ~strategy:Dragon.Scaling.Fast_estimate ~notation:Dragon.Render.Auto
-      Fp.Format_spec.binary64 v
+(* the production line conversion, as bdprint and bdprintd run it *)
+let convert_real = Dragon.Printer.line_converter ()
 
 (* Run a batch through a fresh service; replies are collected on the
    collector domain and read after shutdown (joined, so safely
