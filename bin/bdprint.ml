@@ -156,10 +156,11 @@ let jobs_flag =
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "With $(b,--stdin), convert lines on $(docv) parallel worker \
-           domains through the supervised service: bounded queue with \
-           backpressure, automatic retry of transient internal failures, \
-           circuit breaker with a clearly-marked degraded fallback, and \
-           output in input order.")
+           domains through the supervised service: the lines of each \
+           stdin read are handed off in batches of up to 32, with at most \
+           max(4, 2*$(docv)) batches in flight (backpressure); automatic \
+           retry of transient internal failures, circuit breaker with a \
+           clearly-marked degraded fallback, and output in input order.")
 
 let stats_flag =
   Arg.(
@@ -332,7 +333,9 @@ let g_jobs =
 
 let g_queue_capacity =
   Telemetry.Metrics.gauge
-    ~help:"Bounded submission-queue capacity (0 = sequential driver)."
+    ~help:
+      "Bound on lines in flight under --jobs: batches in flight times \
+       lines per batch (0 = sequential driver)."
     "bdprint_stream_queue_capacity"
 
 (* One exit path for both stream drivers: snapshot the registry once,
@@ -499,16 +502,21 @@ let run_stream ~convert ~max_errors ~deadline_ms ~show_stats ~metrics_file =
    order); the main domain only reads stdin and submits, so output never
    interleaves.  --max-errors sets a stop flag read by the submission
    loop; lines already in flight still drain (the shutdown contract
-   forbids dropping submitted work).  The collector flushes stdout after
-   the reply to the most recently submitted line: nothing else is then
-   in flight, so the submitter is reading stdin and may block there. *)
+   forbids dropping submitted work).  Lines are handed off in batches:
+   one queue slot, one lock and one wake-up per batch, not per line.  A
+   batch holds the lines of one stdin read, cut at
+   [Supervisor.stream_batch_lines].  The pending batch is submitted
+   before every read of stdin, so when the collector writes the reply
+   to the most recently submitted line, nothing else is in flight and
+   the submitter is reading stdin and may block there: that is when the
+   collector flushes stdout. *)
 let run_stream_jobs ~convert ~jobs ~max_errors ~deadline_ms ~show_stats
     ~metrics_file =
   let counts = new_counts () in
   let stop = Atomic.make false in
   let interrupted = install_stream_signals () in
-  (* set before each submit, so a reply whose line number equals it
-     leaves nothing in flight *)
+  (* set before each submit to the batch's last line number, so a reply
+     whose line number equals it leaves nothing in flight *)
   let last_submitted = Atomic.make 0 in
   let write_reply lineno tag out =
     try
@@ -547,22 +555,38 @@ let run_stream_jobs ~convert ~jobs ~max_errors ~deadline_ms ~show_stats
         Atomic.set stop true
       | _ -> ())
   in
-  let queue_capacity = max 64 (8 * jobs) in
+  let queue_capacity = Supervisor.stream_queue_capacity ~jobs in
   Telemetry.Metrics.set_gauge g_jobs jobs;
-  Telemetry.Metrics.set_gauge g_queue_capacity queue_capacity;
+  Telemetry.Metrics.set_gauge g_queue_capacity
+    (queue_capacity * Supervisor.stream_batch_lines);
   let service = Supervisor.start ~jobs ~queue_capacity ~emit convert in
   let lineno = ref 0 in
-  let next_line = stdin_lines ~before_read:ignore in
+  let pending = ref [] and n_pending = ref 0 in
+  let submit_pending () =
+    if !n_pending > 0 then begin
+      (match !pending with
+      | r :: _ -> Atomic.set last_submitted r.Supervisor.req_lineno
+      | [] -> ());
+      let batch = List.rev !pending in
+      pending := [];
+      n_pending := 0;
+      Supervisor.submit_batch service ?deadline_ms batch
+    end
+  in
+  let next_line = stdin_lines ~before_read:submit_pending in
   (try
      while (not (Atomic.get stop)) && not (Atomic.get interrupted) do
        let line = next_line () in
        incr lineno;
        if line <> "" then begin
-         (* the worker that dequeues the job adopts this id, so the
+         (* the worker that converts the line adopts this id, so the
             sampling decision happens here on the submitting domain *)
-         let tid = Telemetry.Tracing.sample () in
-         Atomic.set last_submitted !lineno;
-         Supervisor.submit service ?deadline_ms ~tid ~lineno:!lineno line
+         let req_tid = Telemetry.Tracing.sample () in
+         pending :=
+           { Supervisor.req_lineno = !lineno; req_input = line; req_tid }
+           :: !pending;
+         incr n_pending;
+         if !n_pending >= Supervisor.stream_batch_lines then submit_pending ()
        end
      done
    with
@@ -742,8 +766,9 @@ let cmd =
          (including --deadline-ms timeouts), 4 internal, 5 interrupted \
          (SIGINT or closed output pipe; partial results and --metrics \
          flush before exiting).  With --jobs N \
-         the stream runs through a supervised parallel worker pool: \
-         bounded submission queue with backpressure, per-line deadlines, \
+         the stream runs through a supervised parallel worker pool fed \
+         batches of up to 32 lines, at most max(4, 2N) batches in flight \
+         (backpressure), with per-line deadlines, \
          automatic retry of transient internal failures with capped \
          exponential backoff, and a circuit breaker that degrades to a \
          clearly-marked host-printf fallback (lines prefixed \

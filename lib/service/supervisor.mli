@@ -4,9 +4,15 @@
     failure behaviour.
 
     {ul
-    {- {e Bounded submission with backpressure}: at most
-       [queue_capacity] requests are in flight (submitted but not yet
-       emitted); {!submit} blocks beyond that.}
+    {- {e Batched handoff with backpressure}: the unit of handoff is
+       a batch of lines ({!submit_batch}; {!submit} is a batch of one).
+       A batch takes one queue slot, one worker converts its lines in
+       order, and its replies are posted under one lock with one
+       wake-up of the collector.  At most [queue_capacity] batches are
+       in flight (submitted but not fully emitted), so at most
+       [queue_capacity] times the largest batch's line count lines are;
+       {!submit_batch} blocks beyond that.  Breaker admission, retries,
+       deadlines, tracing and flight-recorder events stay per line.}
     {- {e Per-request deadlines}: enforced cooperatively through the
        {!Robust.Budget} check sites inside the digit loops; an expired
        request fails with a structured [Budget] timeout error
@@ -23,20 +29,23 @@
        submission order.}
     {- {e Crash detection and respawn}: an exception that escapes a
        worker loop (the [service.worker-kill] fault point injects one)
-       kills that domain for real; the dying worker first answers its
-       in-flight request through the breaker-backed degraded fallback,
-       records the failure against the breaker, and spawns its own
-       replacement — so a crash costs one degraded reply, never a lost
-       request or a shrinking pool.}
+       kills that domain for real; the dying worker first posts the
+       lines of its batch that it finished, answers the line it was
+       converting through the breaker-backed degraded fallback, records
+       the failure against the breaker, and spawns its own replacement,
+       which converts the rest of the batch first — so a crash costs one
+       degraded reply, never a lost request or a shrinking pool.}
     {- {e Wedge detection (watchdog)}: with a {!watchdog_policy}, a
-       monitor domain heartbeats every dequeued request.  A request held
+       monitor domain heartbeats every line a worker is converting
+       (without one, no per-line heartbeat is kept).  A request held
        past its deadline plus [grace_ms] (or past [stuck_ms] without a
        deadline) on a live-but-wedged worker — the
        [service.worker-wedge] fault point injects one — is {e cancelled}:
        answered immediately with a structured timeout, its worker
        abandoned (OCaml domains cannot be killed; the worker's late
        reply is dropped and the worker exits when it finally wakes) and
-       a replacement spawned, so a wedge costs one timed-out reply and
+       a replacement spawned that converts the rest of the line's batch,
+       so a wedge costs one timed-out reply and
        one domain spawn, never a stuck connection or a shrinking pool.}
     {- {e Graceful shutdown}: {!shutdown} drains the queue — every
        submitted request is emitted exactly once — then joins all
@@ -109,8 +118,9 @@ type stats = {
           abandoned and replaced *)
   breaker_state : string;
   breaker_trips : int;
-  max_in_flight : int;  (** high-water mark of submitted-not-yet-emitted *)
-  capacity : int;
+  max_in_flight : int;
+      (** high-water mark of lines submitted but not yet emitted *)
+  capacity : int;  (** [queue_capacity]: the bound on batches in flight *)
   jobs : int;
   workers : worker_stats array;  (** per-worker breakdown, indexed by domain *)
 }
@@ -128,7 +138,8 @@ val start :
   (string -> (string, Robust.Error.t) result) ->
   t
 (** [start ~emit convert] spawns [jobs] worker domains (default 2) and
-    one collector domain.  [watchdog] (default: none) additionally
+    one collector domain; [queue_capacity] (default 64) bounds the
+    batches in flight.  [watchdog] (default: none) additionally
     spawns the wedge-detection monitor domain.  [convert] runs on worker domains — it must be
     safe to call concurrently — and is re-guarded with
     {!Robust.Error.catch}, so even an exception-throwing convert cannot
@@ -138,15 +149,37 @@ val start :
     every worker.  [fallback] defaults to host [float_of_string] +
     [%.17g]. *)
 
+type request = {
+  req_lineno : int;  (** becomes the reply's [lineno] *)
+  req_input : string;
+  req_tid : int;  (** {!Telemetry.Tracing} id; 0 = unsampled *)
+}
+(** One line of a batch. *)
+
+val submit_batch : t -> ?deadline_ms:int -> request list -> unit
+(** Enqueues the lines as one batch: one queue slot, and replies emitted
+    in list order after those of every earlier submission.  Blocks while
+    [queue_capacity] batches are in flight (backpressure).
+    [deadline_ms] grants each line a wall-clock budget measured from
+    this call — queue wait, including the wait behind earlier lines of
+    the same batch, counts, so a 0 ms deadline fails every line with a
+    structured timeout without converting.  Each line's queue-wait span
+    opens here, and the worker adopts the line's [req_tid] while it
+    converts that line.  An empty batch does nothing.
+    @raise Invalid_argument after {!shutdown}. *)
+
+val stream_batch_lines : int
+(** 32: the most lines a stream driver ([bdprint --jobs],
+    [bench -- service]) puts in one batch. *)
+
+val stream_queue_capacity : jobs:int -> int
+(** [max 4 (2 * jobs)]: the [queue_capacity], in batches, a stream
+    driver starts the service with; times {!stream_batch_lines} it
+    bounds the stream's lines in flight (128 at 2 jobs). *)
+
 val submit : t -> ?deadline_ms:int -> ?tid:int -> lineno:int -> string -> unit
-(** Enqueues a request.  Blocks while [queue_capacity] requests are in
-    flight (backpressure).  [deadline_ms] grants a wall-clock budget
-    measured from submission — queue wait counts, so a 0 ms deadline
-    fails with a structured timeout without converting.  [tid]
-    (default 0 = unsampled) is the request's {!Telemetry.Tracing} id:
-    the queue-wait span opens at submission, and the worker that
-    dequeues the job adopts the id so its pipeline spans are timed
-    for the same request.
+(** [submit t ~lineno input] is {!submit_batch} of the one line, with
+    [tid] (default 0) as its trace id.
     @raise Invalid_argument after {!shutdown}. *)
 
 val shutdown : t -> stats

@@ -46,7 +46,6 @@ type stage =
   | Client_attempt
   | Client_backoff
   | Client_hedge
-  | Wire_read
   | Wire_write
   | Queue_wait
   | Worker_service
@@ -55,7 +54,7 @@ type stage =
 
 let all =
   [ Parse; Boundaries; Scale; Generate; Render; Client_attempt;
-    Client_backoff; Client_hedge; Wire_read; Wire_write; Queue_wait;
+    Client_backoff; Client_hedge; Wire_write; Queue_wait;
     Worker_service; Request; Fastpath ]
 
 let stage_name = function
@@ -67,7 +66,6 @@ let stage_name = function
   | Client_attempt -> "client-attempt"
   | Client_backoff -> "client-backoff"
   | Client_hedge -> "client-hedge"
-  | Wire_read -> "wire-read"
   | Wire_write -> "wire-write"
   | Queue_wait -> "queue-wait"
   | Worker_service -> "worker-service"
@@ -141,12 +139,11 @@ let index = function
   | Client_attempt -> 5
   | Client_backoff -> 6
   | Client_hedge -> 7
-  | Wire_read -> 8
-  | Wire_write -> 9
-  | Queue_wait -> 10
-  | Worker_service -> 11
-  | Request -> 12
-  | Fastpath -> 13
+  | Wire_write -> 8
+  | Queue_wait -> 9
+  | Worker_service -> 10
+  | Request -> 11
+  | Fastpath -> 12
 
 (* Log-linear nanosecond bounds, 100ns to 10ms: the pipeline stages
    sit under a microsecond, a queued service round trip reaches

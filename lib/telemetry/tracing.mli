@@ -34,7 +34,6 @@ type stage =
   | Client_attempt
   | Client_backoff
   | Client_hedge
-  | Wire_read
   | Wire_write
   | Queue_wait
   | Worker_service

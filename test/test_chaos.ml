@@ -14,6 +14,11 @@
    - after disarming, the service recovers immediately and the breaker
      ends closed (it must not stick open once faults stop).
 
+   The corpus runs twice: one [submit] per line, then through
+   [submit_batch] in seeded irregular batch sizes, so retries, the
+   breaker and ordering are also held to the contract when a worker
+   converts many lines per handoff.
+
    Line count defaults to 10_000; CHAOS_LINES overrides it (the
    @chaos-smoke alias runs a reduced pass). *)
 
@@ -56,7 +61,31 @@ let chaos_retry =
     backoff_cap_ms = 0.5;
   }
 
-let run_chaos () =
+(* Hands the service lines [first ..] of [inputs], one [submit] per
+   line or, with [batched], through [submit_batch] in seeded irregular
+   batch sizes from 1 to 300. *)
+let submit_lines ~batched svc ~first inputs =
+  if not batched then
+    List.iteri (fun i input -> S.submit svc ~lineno:(first + i) input) inputs
+  else begin
+    let st = Random.State.make [| 0xBA7C4 |] in
+    let rec go lineno = function
+      | [] -> ()
+      | inputs ->
+        let size = 1 + Random.State.int st 300 in
+        let batch = List.filteri (fun i _ -> i < size) inputs in
+        S.submit_batch svc
+          (List.mapi
+             (fun i input ->
+               { S.req_lineno = lineno + i; req_input = input; req_tid = 0 })
+             batch);
+        go (lineno + List.length batch)
+          (List.filteri (fun i _ -> i >= size) inputs)
+    in
+    go first inputs
+  end
+
+let run_chaos ~batched () =
   Faults.disarm_all ();
 
   (* 1. fault-free sequential baseline *)
@@ -77,15 +106,17 @@ let run_chaos () =
       ~emit:(fun r -> replies := r :: !replies)
       convert
   in
-  List.iteri (fun i input -> S.submit svc ~lineno:(i + 1) input) corpus;
+  submit_lines ~batched svc ~first:1 corpus;
+  (* a few large batches are all submitted at once: keep the faults
+     armed until every corpus line is answered *)
+  Sync.wait_until ~timeout_s:120. "every corpus line answered" (fun () ->
+      (S.stats svc).S.completed >= n_lines);
 
   (* 3. disarm and submit a recovery tail on the same still-running
      service: it must come back clean, with the breaker closed *)
   Faults.disarm_all ();
   let recovery = List.init 20 (fun i -> Printf.sprintf "%d.5" i) in
-  List.iteri
-    (fun i input -> S.submit svc ~lineno:(n_lines + i + 1) input)
-    recovery;
+  submit_lines ~batched svc ~first:(n_lines + 1) recovery;
   let stats = S.shutdown svc in
   let replies = List.rev !replies in
 
@@ -160,6 +191,9 @@ let () =
         [
           Alcotest.test_case
             (Printf.sprintf "1%% transient faults, %d lines" n_lines)
-            `Quick run_chaos;
+            `Quick (run_chaos ~batched:false);
+          Alcotest.test_case
+            (Printf.sprintf "1%% transient faults, %d lines in batches" n_lines)
+            `Quick (run_chaos ~batched:true);
         ] );
     ]

@@ -638,7 +638,57 @@ let test_chunk_boundaries () =
           "error: 1 input line(s) failed";
         ]
         err)
-    [ "--stdin"; "--stdin --jobs 2" ]
+    [ "--stdin"; "--stdin --jobs 1"; "--stdin --jobs 2" ]
+
+(* --max-errors under --jobs, with the failing lines in different stdin
+   chunks (so in different batches): the same exit code, the same first
+   two errors and one abort message as the sequential run.  Lines
+   already in flight may still drain after the abort, but every answer
+   on stdout is right and in input order. *)
+let test_jobs_max_errors () =
+  let bad = [ 100; 1500; 2500 ] in
+  let n = 3000 in
+  let line i = if List.mem i bad then "bogus" else Printf.sprintf "%d.5" i in
+  let lines = List.init n (fun i -> line (i + 1)) in
+  let stdin = String.concat "\n" lines ^ "\n" in
+  let offset i =
+    List.fold_left ( + ) 0
+      (List.filteri (fun j _ -> j < i - 1) (List.map String.length lines))
+    + (i - 1)
+  in
+  Alcotest.(check (list int)) "bad lines in chunks 0, 2 and 4" [ 0; 2; 4 ]
+    (List.map (fun i -> offset i / 4096) bad);
+  let good = List.filter (fun l -> l <> "bogus") lines in
+  let errors err = List.filter (fun l -> contains l "error: line") err in
+  let aborts err = List.filter (fun l -> contains l "aborting after") err in
+  let status_seq, out_seq, err_seq =
+    bdprint_full ~stdin "--stdin --max-errors 2"
+  in
+  Alcotest.(check int) "sequential stops with syntax exit" 2 status_seq;
+  Alcotest.(check int) "sequential answers up to the second error" 1498
+    (List.length out_seq);
+  List.iter
+    (fun driver ->
+      let status, out, err =
+        bdprint_full ~stdin ("--stdin --max-errors 2 " ^ driver)
+      in
+      Alcotest.(check int) (driver ^ " exit code") status_seq status;
+      Alcotest.(check (list string))
+        (driver ^ " first two errors")
+        (errors err_seq)
+        (List.filteri (fun i _ -> i < 2) (errors err));
+      Alcotest.(check int) (driver ^ " one abort message") 1
+        (List.length (aborts err));
+      Alcotest.(check bool)
+        (Printf.sprintf "%s answers everything before the second error (%d)"
+           driver (List.length out))
+        true
+        (List.length out >= List.length out_seq);
+      Alcotest.(check (list string))
+        (driver ^ " answers are right and in order")
+        (List.filteri (fun i _ -> i < List.length out) good)
+        out)
+    [ "--jobs 1"; "--jobs 2" ]
 
 (* With 2>&1 an error appears after the answers that preceded it and
    before the ones that follow it, in every mode. *)
@@ -670,7 +720,7 @@ let test_merged_order () =
           "error: 1 input line(s) failed";
         ]
         (merged ~stdin:"0.1\nbogus\n1e23\n" driver))
-    [ "--stdin"; "--stdin --jobs 2" ];
+    [ "--stdin"; "--stdin --jobs 1"; "--stdin --jobs 2" ];
   Alcotest.(check (list string)) "positional 2>&1 order"
     [ "0.1"; "error: " ^ err; "1e23"; "bdprint: some inputs failed" ]
     (merged ~stdin:"" "0.1 bogus 1e23")
@@ -732,6 +782,8 @@ let () =
             test_chunk_boundaries;
           Alcotest.test_case "stdout and stderr order" `Quick
             test_merged_order;
+          Alcotest.test_case "jobs max-errors across chunks" `Quick
+            test_jobs_max_errors;
           Alcotest.test_case "--help renders for every binary" `Quick
             test_help_renders;
         ] );

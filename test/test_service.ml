@@ -1,11 +1,10 @@
 (* Unit tests for the supervised parallel conversion service
-   (lib/service) and the fault-spec machinery it leans on: bounded
-   queue, order preservation, backpressure, retry masking of transient
+   (lib/service) and the fault-spec machinery it leans on: order
+   preservation, batches, backpressure, retry masking of transient
    internal failures, fail-fast classes, deadlines, graceful drain, and
    the circuit breaker's open/degrade/probe/close cycle. *)
 
 module S = Service.Supervisor
-module B = Service.Bqueue
 module Error = Robust.Error
 module Budget = Robust.Budget
 module Faults = Robust.Faults
@@ -148,37 +147,6 @@ let test_probabilistic_arming () =
   match convert_real "0.1" with
   | Ok s -> Alcotest.(check string) "clean again" "0.1" s
   | Error e -> Alcotest.fail (Error.to_string e)
-
-(* ------------------------------------------------------------------ *)
-(* Bounded queue *)
-
-let test_bqueue () =
-  let q = B.create ~capacity:2 in
-  (* a producer pushing past the capacity blocks until the consumer
-     drains; the join below proves it completes without deadlock *)
-  let producer =
-    Domain.spawn (fun () ->
-        for i = 1 to 5 do
-          B.put q i
-        done;
-        B.close q)
-  in
-  let got = ref [] in
-  let rec drain () =
-    match B.take q with
-    | Some x ->
-      got := x :: !got;
-      Unix.sleepf 0.002;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Domain.join producer;
-  Alcotest.(check (list int)) "FIFO order" [ 1; 2; 3; 4; 5 ] (List.rev !got);
-  Alcotest.(check bool) "closed" true (B.is_closed q);
-  Alcotest.(check bool) "put after close raises" true
-    (match B.put q 6 with exception B.Closed -> true | () -> false);
-  Alcotest.(check (option int)) "take after close drained" None (B.take q)
 
 (* ------------------------------------------------------------------ *)
 (* Service basics *)
@@ -367,6 +335,160 @@ let test_submit_after_shutdown () =
   (* shutdown is idempotent *)
   let stats = S.shutdown svc in
   Alcotest.(check int) "idempotent shutdown" 0 stats.S.submitted
+
+(* ------------------------------------------------------------------ *)
+(* Batches *)
+
+let req ?(tid = 0) lineno input =
+  { S.req_lineno = lineno; req_input = input; req_tid = tid }
+
+(* [sizes] batches of consecutive line numbers from 1, each of the
+   given size; size 0 submits one line through [submit] instead. *)
+let submit_mixed svc ?deadline_ms sizes =
+  let next = ref 1 in
+  List.iter
+    (fun size ->
+      if size = 0 then begin
+        S.submit svc ?deadline_ms ~lineno:!next (string_of_int !next);
+        incr next
+      end
+      else begin
+        let batch =
+          List.init size (fun i -> req (!next + i) (string_of_int (!next + i)))
+        in
+        next := !next + size;
+        S.submit_batch svc ?deadline_ms batch
+      end)
+    sizes;
+  !next - 1
+
+let start_collecting ?(jobs = 2) ?(capacity = 4) ?watchdog convert =
+  let replies = ref [] in
+  let svc =
+    S.start ~jobs ~queue_capacity:capacity ~retry:fast_retry ?watchdog
+      ~emit:(fun r -> replies := r :: !replies)
+      convert
+  in
+  (svc, replies)
+
+let test_batch_order () =
+  let svc, replies = start_collecting ~jobs:3 (fun s -> Ok ("v" ^ s)) in
+  let n = submit_mixed svc [ 32; 0; 1; 7; 0; 0; 32; 5; 0; 19; 32; 0 ] in
+  let stats = S.shutdown svc in
+  let replies = List.rev !replies in
+  Alcotest.(check int) "one reply per line" n (List.length replies);
+  List.iteri
+    (fun i (r : S.reply) ->
+      Alcotest.(check int) "lineno order" (i + 1) r.S.lineno;
+      match r.S.outcome with
+      | S.Done s ->
+        Alcotest.(check string) "payload" ("v" ^ string_of_int (i + 1)) s
+      | _ -> Alcotest.fail "expected Done")
+    replies;
+  Alcotest.(check int) "submitted counts lines" n stats.S.submitted;
+  Alcotest.(check int) "completed counts lines" n stats.S.completed;
+  Alcotest.(check bool)
+    (Printf.sprintf "in flight bounded by 4 batches of <= 32 lines (%d)"
+       stats.S.max_in_flight)
+    true
+    (stats.S.max_in_flight <= 4 * 32)
+
+(* A crash inside a batch costs exactly the line the worker held: the
+   lines before it are posted, the rest are converted by the
+   replacement worker. *)
+let test_batch_worker_kill () =
+  Fun.protect
+    ~finally:(fun () ->
+      Faults.disarm_all ();
+      Faults.reset_call_counts ())
+    (fun () ->
+      Faults.disarm_all ();
+      Faults.reset_call_counts ();
+      Faults.arm_at ~call:13 "service.worker-kill";
+      let svc, replies = start_collecting ~jobs:1 convert_real in
+      let inputs = List.init 40 (fun i -> Printf.sprintf "%d.5" i) in
+      S.submit_batch svc (List.mapi (fun i s -> req (i + 1) s) inputs);
+      let stats = S.shutdown svc in
+      let replies = List.rev !replies in
+      Alcotest.(check int) "one reply per line" 40 (List.length replies);
+      List.iteri
+        (fun i (r : S.reply) ->
+          Alcotest.(check int) "order" (i + 1) r.S.lineno;
+          match r.S.outcome with
+          | S.Degraded out when i = 12 ->
+            Alcotest.(check string) "degraded fallback" "12.5" out
+          | S.Done out when i <> 12 ->
+            Alcotest.(check string) "converted" (List.nth inputs i) out
+          | _ -> Alcotest.failf "line %d: unexpected outcome" (i + 1))
+        replies;
+      Alcotest.(check int) "one degraded line" 1 stats.S.degraded;
+      Alcotest.(check int) "one crash" 1 stats.S.crashes;
+      Alcotest.(check int) "one respawn" 1 stats.S.respawns)
+
+(* With a watchdog, a line wedged inside a batch is cancelled alone:
+   the replacement worker converts the rest of its batch. *)
+let test_batch_wedge () =
+  Fun.protect
+    ~finally:(fun () ->
+      Faults.disarm_all ();
+      Faults.reset_call_counts ())
+    (fun () ->
+      Faults.disarm_all ();
+      Faults.reset_call_counts ();
+      Faults.arm_at ~call:3 "service.worker-wedge";
+      let svc, replies =
+        start_collecting ~jobs:1
+          ~watchdog:{ S.poll_ms = 5; grace_ms = 10; stuck_ms = 50 }
+          convert_real
+      in
+      S.submit_batch svc
+        (List.init 6 (fun i -> req (i + 1) (Printf.sprintf "%d.25" i)));
+      (* shutdown stops the watchdog first, so wait for the answers *)
+      Sync.wait_until "every line answered" (fun () ->
+          (S.stats svc).S.completed = 6);
+      let stats = S.shutdown svc in
+      let outcomes =
+        List.rev_map
+          (fun (r : S.reply) ->
+            match r.S.outcome with
+            | S.Done out -> out
+            | S.Failed (Error.Internal { where; _ }) -> where
+            | _ -> "unexpected")
+          !replies
+      in
+      Alcotest.(check (list string)) "only the wedged line failed"
+        [ "0.25"; "1.25"; "service.watchdog"; "3.25"; "4.25"; "5.25" ]
+        outcomes;
+      Alcotest.(check int) "one wedge" 1 stats.S.wedges;
+      Alcotest.(check int) "one replacement" 1 stats.S.respawns)
+
+let test_batch_deadline_zero () =
+  let svc, replies = start_collecting convert_real in
+  let n = submit_mixed svc ~deadline_ms:0 [ 5; 12 ] in
+  let stats = S.shutdown svc in
+  Alcotest.(check int) "one reply per line" n (List.length !replies);
+  List.iter
+    (fun (r : S.reply) ->
+      match r.S.outcome with
+      | S.Failed (Error.Budget { what; _ }) ->
+        Alcotest.(check string) "deadline error" Budget.deadline_what what;
+        Alcotest.(check int) "not converted" 0 r.S.attempts
+      | _ -> Alcotest.failf "line %d: expected a deadline timeout" r.S.lineno)
+    !replies;
+  Alcotest.(check int) "counted as budget class" n stats.S.budget_failures
+
+let test_batch_empty_and_shutdown () =
+  let svc, replies = start_collecting (fun s -> Ok s) in
+  S.submit_batch svc [];
+  S.submit_batch svc [ req 1 "a" ];
+  S.submit_batch svc [];
+  let stats = S.shutdown svc in
+  Alcotest.(check int) "empty batches submit nothing" 1 stats.S.submitted;
+  Alcotest.(check int) "one reply" 1 (List.length !replies);
+  Alcotest.(check bool) "submit_batch after shutdown rejected" true
+    (match S.submit_batch svc [ req 2 "b" ] with
+    | exception Invalid_argument _ -> true
+    | () -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Circuit breaker *)
@@ -628,7 +750,6 @@ let () =
           Alcotest.test_case "probabilistic arming" `Quick
             test_probabilistic_arming;
         ] );
-      ("bqueue", [ Alcotest.test_case "bounded queue" `Quick test_bqueue ]);
       ( "supervisor",
         [
           Alcotest.test_case "order preserved" `Quick test_order_preserved;
@@ -648,6 +769,18 @@ let () =
             test_shutdown_drains_everything;
           Alcotest.test_case "submit after shutdown" `Quick
             test_submit_after_shutdown;
+        ] );
+      ( "batches",
+        [
+          Alcotest.test_case "order across batches and submits" `Quick
+            test_batch_order;
+          Alcotest.test_case "worker kill inside a batch" `Quick
+            test_batch_worker_kill;
+          Alcotest.test_case "wedge inside a batch" `Quick test_batch_wedge;
+          Alcotest.test_case "deadline zero fails every line" `Quick
+            test_batch_deadline_zero;
+          Alcotest.test_case "empty batch and shutdown" `Quick
+            test_batch_empty_and_shutdown;
         ] );
       ( "breaker",
         [
